@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from . import harness
 from .desugar import DesugarError, desugar
 from .evaluator import EvalConfig, EvalFault, IdAllocator, evaluate
-from .model import Cardinality, ComputedType, Schema, Store, format_type
+from .model import Cardinality, ComputedType, Schema, Store
 from .parser import build_schema, parse_query, parse_schema
 from .serialize import debug_print, serialize, to_json_text
 from .store_io import LoadedSnapshot, SnapshotError, load_snapshot, save_snapshot
@@ -40,8 +40,9 @@ def _env_seed() -> int | None:
 
 @dataclass
 class Session:
-    """REPL/runner state; the store always passes check_store between
-    commands, and edit marks reset at the start of every query."""
+    """REPL/runner state. Between queries the store passes check_store and
+    holds no edit marks: a query marks the tuples it writes, and run_query
+    clears the marks when it commits the query's store to the session."""
 
     schema: Schema
     store: Store
@@ -50,7 +51,6 @@ class Session:
     seed: int | None = None
     dedup: bool = False
     fmt: str = "json"
-    dirty: bool = False
 
     @classmethod
     def from_snapshot(cls, snap: LoadedSnapshot, **kw) -> Session:
@@ -61,13 +61,11 @@ class Session:
         store; commits the new store to the session on success."""
         expr = desugar(parse_query(text))
         ty, card = synth(self.schema, {}, expr)
-        allocator = IdAllocator(max(self.next_id, self.store.max_numeric_id() + 1))
+        # load_snapshot starts next_id past every stored id; queries only advance it
+        allocator = IdAllocator(self.next_id)
         config = EvalConfig(permutation_seed=self.seed, dedup_projections=self.dedup,
                             id_allocator=allocator)
-        store = self.store.unlock_all()
-        outcome = evaluate(self.schema, config, {}, store, store, expr)
-        if outcome.store_after.tuples != self.store.tuples:
-            self.dirty = True
+        outcome = evaluate(self.schema, config, {}, self.store, self.store, expr)
         self.store = outcome.store_after.unlock_all()
         self.next_id = allocator.next_id
         return outcome.result, ty, card
@@ -98,18 +96,24 @@ def _write_snapshot(path: str, text: str) -> None:
         fh.write(text)
 
 
-def cmd_run(args) -> int:
+def _open_snapshot(path: str) -> LoadedSnapshot | None:
+    """Load the snapshot at `path`, or print why it cannot be loaded (one
+    diagnostic per line) and return None."""
     try:
-        with open(args.store, encoding="utf-8") as fh:
-            snap = load_snapshot(fh.read())
+        with open(path, encoding="utf-8") as fh:
+            return load_snapshot(fh.read())
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_STORE_ERROR
     except SnapshotError as exc:
         for d in exc.diagnostics:
             print(d, file=sys.stderr)
-        return EXIT_STORE_ERROR
+    return None
 
+
+def cmd_run(args) -> int:
+    snap = _open_snapshot(args.store)
+    if snap is None:
+        return EXIT_STORE_ERROR
     session = Session.from_snapshot(snap, seed=args.seed, dedup=args.dedup, fmt=args.format)
     try:
         result, ty, card = session.run_query(_strip_query(args.query))
@@ -162,7 +166,7 @@ def cmd_check(args) -> int:
         except TypeCheckError as exc:
             print(exc, file=sys.stderr)
             return EXIT_QUERY_ERROR
-        print(f"{format_type(ty)} # {card}")
+        print(f"{ty} # {card}")
     return EXIT_OK
 
 
@@ -182,13 +186,9 @@ def _repl_help() -> str:
 def cmd_repl(args, stdin=None, stdout=None) -> int:
     stdin = stdin or sys.stdin
     stdout = stdout or sys.stdout
-    try:
-        with open(args.store, encoding="utf-8") as fh:
-            snap = load_snapshot(fh.read())
-    except (OSError, SnapshotError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    snap = _open_snapshot(args.store)
+    if snap is None:
         return EXIT_STORE_ERROR
-
     session = Session.from_snapshot(snap, seed=args.seed, dedup=args.dedup, fmt=args.format)
     buffer = ""
     interactive = stdin is sys.stdin and sys.stdin.isatty()
@@ -216,14 +216,13 @@ def cmd_repl(args, stdin=None, stdout=None) -> int:
                 try:
                     expr = desugar(parse_query(_strip_query(rest)))
                     ty, card = synth(session.schema, {}, expr)
-                    emit(f"{format_type(ty)} # {card}")
+                    emit(f"{ty} # {card}")
                 except (ParseError, DesugarError, TypeCheckError) as exc:
                     emit(f"error: {exc}")
             elif cmd == "\\save":
                 _write_snapshot(args.store,
                                 save_snapshot(session.schema_text, session.store,
                                               session.next_id))
-                session.dirty = False
                 emit(f"saved {args.store}")
             elif cmd == "\\seed":
                 if rest.strip().lower() in ("off", ""):
@@ -275,7 +274,7 @@ def cmd_fuzz(args) -> int:
     if not failures:
         return EXIT_OK
     for ce in failures:
-        shrunk = harness.shrink(ce) if ce.instance is not None else ce
+        shrunk = harness.shrink(ce)
         path = f"counterexample-{shrunk.seed}.json"
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(harness.counterexample_to_json(shrunk))

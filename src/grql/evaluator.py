@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass, field
 
 from . import core
-from .builtins import REGISTRY, BuiltinDomainError, BuiltinSignature
+from .builtins import REGISTRY, BuiltinDomainError
 from .model import (
     BoolVal,
     ComputedValue,
@@ -173,16 +173,12 @@ def _strip_value(w: ComputedValue, ty: StoredType):
     return StoredRef(w.id, props)
 
 
-def run_builtin(name: str, sig: BuiltinSignature | None, args: list[ValueSeq]) -> ValueSeq:
-    """Interpret a built-in application whose arguments satisfy the signature's
-    parameter modifiers (validated when the signature is given)."""
-    spec = REGISTRY[name]
-    if sig is not None:
-        from .builtins import MODIFIER_CARD
-
-        for i, (_, mod) in enumerate(sig.params):
-            if not MODIFIER_CARD[mod].admits(len(args[i])):
-                raise EvalFault("Stuck", f"argument {i + 1} of {name} outside its modifier")
+def run_builtin(name: str, args: list[ValueSeq]) -> ValueSeq:
+    """Interpret a built-in application; the checker has already matched the
+    arguments against the signature's parameter modifiers."""
+    spec = REGISTRY.get(name)
+    if spec is None:
+        raise EvalFault("Stuck", f"unknown builtin {name!r}")
     try:
         return spec.run(args)
     except BuiltinDomainError as exc:
@@ -299,11 +295,7 @@ class Evaluator:
                 for a in args:
                     vals, store = self.run(env, store, a)
                     arg_vals.append(vals)
-                spec = REGISTRY.get(fn)
-                if spec is None:
-                    raise EvalFault("Stuck", f"unknown builtin {fn!r}")
-                result = run_builtin(fn, None, arg_vals)
-                return self.permute(result), store
+                return self.permute(run_builtin(fn, arg_vals)), store
 
             case core.If(cond=c, then_branch=t, else_branch=f):
                 wc, store = self.run(env, store, c)
@@ -345,7 +337,7 @@ class Evaluator:
                     record[lbl] = strip_for_storage(computed[lbl], sty)
                 id = self.config.id_allocator.allocate()
                 assert self.init.get(id) is None and store.get(id) is None, "id not fresh"
-                store = store.with_tuple(id, StoreTuple(n, True, record))
+                store = store.with_tuple(id, StoreTuple(n, record))
                 shape_rec = {lbl: invis(computed[lbl]) for lbl in decl.labels}
                 return [ObjVal(id, shape_rec)], store
 
@@ -360,7 +352,7 @@ class Evaluator:
                     vals, store = self.run(inner, store, expr)
                     computed[lbl] = vals
                 tup = store.get(w.id)
-                if tup is None or tup.locked:
+                if tup is None or w.id in store.locked:
                     # absent or already edited this query: the update is a no-op
                     return [], store
                 decl = self.schema.decl(tup.type_name)
@@ -370,7 +362,7 @@ class Evaluator:
                 for lbl, _ in shape:
                     sty, _card = decl.labels[lbl]
                     record[lbl] = strip_for_storage(computed[lbl], sty)
-                store = store.with_tuple(w.id, StoreTuple(tup.type_name, True, record))
+                store = store.with_tuple(w.id, StoreTuple(tup.type_name, record))
                 return [ObjVal(w.id, {lbl: invis(computed[lbl]) for lbl, _ in shape})], store
 
         raise TypeError(f"unknown core node {e!r}")

@@ -472,19 +472,7 @@ class _Gen:
         """insert n { every schema label }; only reachable when mutations are
         enabled and depth >= 2."""
         decl = self.schema.decl(n)
-        shape: list[tuple[Label, core.Expr]] = []
-        entries = {}
-        scalar_depth = max(depth - 1, 1)
-        for lbl, (sty, scard) in decl.labels.items():
-            if isinstance(sty, StoredRefType):
-                e, ety = self.link_value(ctx, sty, scard, depth - 1)
-            else:
-                mode = self.pick(self.sub_modes(scalar_depth,
-                                                [mm for mm in ALL_CARDINALITIES
-                                                 if card_le(mm, scard)]))
-                e, ety = self.scalar(ctx, sty, mode, scalar_depth), sty
-            shape.append((lbl, e))
-            entries[lbl] = (ety, scard)
+        shape, entries = self.label_values(ctx, decl, list(decl.labels), depth)
         return core.Insert(n, shape), ObjType(n, entries)
 
     def update(self, ctx: Context, depth: int) -> tuple[core.Expr, ObjType]:
@@ -505,21 +493,29 @@ class _Gen:
         chosen = [lbl for lbl in labels if self.rng.random() < 0.6]
         if not chosen and labels:
             chosen = [self.pick(labels)]
+        shape, entries = self.label_values(inner_ctx, decl, chosen, depth)
+        return core.Update(subj, x, shape), ObjType(subj_ty.target, entries)
+
+    def label_values(self, ctx: Context, decl: ObjectTypeDecl, labels: list[Label],
+                     depth: int) -> tuple[list[tuple[Label, core.Expr]],
+                                          dict[Label, tuple[ComputedType, Cardinality]]]:
+        """One generated value per label, within the label's declared mode:
+        the shape of an insert or update and the entries of its type."""
         shape: list[tuple[Label, core.Expr]] = []
         entries = {}
         scalar_depth = max(depth - 1, 1)
-        for lbl in chosen:
+        for lbl in labels:
             sty, scard = decl.labels[lbl]
             if isinstance(sty, StoredRefType):
-                e, ety = self.link_value(inner_ctx, sty, scard, depth - 1)
+                e, ety = self.link_value(ctx, sty, scard, depth - 1)
             else:
                 mode = self.pick(self.sub_modes(scalar_depth,
                                                 [mm for mm in ALL_CARDINALITIES
                                                  if card_le(mm, scard)]))
-                e, ety = self.scalar(inner_ctx, sty, mode, scalar_depth), sty
+                e, ety = self.scalar(ctx, sty, mode, scalar_depth), sty
             shape.append((lbl, e))
             entries[lbl] = (ety, scard)
-        return core.Update(subj, x, shape), ObjType(subj_ty.target, entries)
+        return shape, entries
 
     def link_value(self, ctx: Context, refty: StoredRefType, m: Cardinality,
                    depth: int) -> tuple[core.Expr, ComputedType]:
@@ -648,7 +644,7 @@ def _gen_store(rng: random.Random, cfg: GenConfig, schema: Schema) -> Store:
                 record[lbl] = cells
             else:
                 record[lbl] = [scalar_cell(sty) for _ in range(n)]
-        store.tuples[id] = StoreTuple(tname, False, record)
+        store.tuples[id] = StoreTuple(tname, record)
     return store
 
 
@@ -787,12 +783,12 @@ def check_soundness(instance: Instance, eval_seeds: list[int],
                                  result, instance.ty, instance.card):
             return ce("preservation",
                       f"seed {seed}: result does not type at {instance.ty} # {instance.card}")
-        diags = check_store(instance.schema, after.unlock_all())
+        diags = check_store(instance.schema, after)
         if diags:
             return ce("store-wellformed", f"seed {seed}: {diags[0]}")
         if not store_extends(instance.store, after):
             return ce("extension", f"seed {seed}: final store does not extend the initial one")
-        if not mutating and after.tuples != instance.store.tuples:
+        if not mutating and after != instance.store:
             return ce("read-isolation", f"seed {seed}: read-only expression changed the store")
         fingerprints.append(
             (result_fingerprint(result, after, base_ids),
@@ -847,7 +843,6 @@ def _run_range(args) -> tuple[list, dict[str, int]]:
     for i in range(start, stop):
         ce, counts = run_case(master_seed, i, base)
         if ce is not None:
-            ce.instance = None  # not picklable across workers; replay by seed
             failures.append(ce)
         for k, v in counts.items():
             coverage[k] = coverage.get(k, 0) + v
@@ -900,16 +895,18 @@ def counterexample_to_json(ce: CounterExample) -> str:
 
 
 def replay_counterexample(text: str) -> CounterExample | None:
-    """Re-run a stored counter-example; returns the reproduced failure or None
-    if it no longer fails."""
+    """Re-run a stored counter-example from its seed; returns the reproduced
+    failure, shrunk, or None if it no longer fails. Shrinking is
+    deterministic, so this is the instance the fuzzer wrote to the file."""
     doc = json.loads(text)
     cfg = GenConfig(seed=doc["seed"], **doc["config"])
     instance = gen_instance(cfg)
     ce = check_soundness(instance, list(doc["eval_seeds"]))
-    if ce is not None:
-        ce.seed = cfg.seed
-        ce.config = cfg
-    return ce
+    if ce is None:
+        return None
+    ce.seed = cfg.seed
+    ce.config = cfg
+    return shrink(ce)
 
 
 def _closed(e: core.Expr) -> bool:

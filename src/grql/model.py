@@ -235,10 +235,6 @@ class ObjType:
 ComputedType = ScalarType | ObjType
 
 
-def format_type(ty: ComputedType) -> str:
-    return str(ty)
-
-
 @dataclass
 class ShapeEntry:
     """One shape-record entry: a visibility mark plus a value sequence.
@@ -268,20 +264,16 @@ def invis(values: ValueSeq) -> ShapeEntry:
     return ShapeEntry(False, values)
 
 
-def value_eq(a: ComputedValue, b: ComputedValue) -> bool:
-    """Structural equality; for references, ids and shape records must agree
-    entry-for-entry including visibility marks."""
-    return a == b
-
-
 def seq_perm_eq(a: ValueSeq, b: ValueSeq) -> bool:
-    """True iff a is a permutation of b under structural value equality."""
+    """True iff a is a permutation of b under structural value equality (for
+    references, ids and shape records agree entry-for-entry, visibility
+    marks included)."""
     if len(a) != len(b):
         return False
     remaining = list(b)
     for x in a:
         for i, y in enumerate(remaining):
-            if value_eq(x, y):
+            if x == y:
                 del remaining[i]
                 break
         else:
@@ -312,37 +304,33 @@ class Schema:
 @dataclass
 class StoreTuple:
     type_name: TypeName
-    locked: bool
     record: dict[Label, StoredValueSeq]
 
 
 @dataclass
 class Store:
-    """The mutable world state, threaded functionally: a map from entity ids
-    to tuples, iterated in id-allocation order."""
+    """The world state, threaded functionally: a map from entity ids
+    to tuples, iterated in id-allocation order.
+
+    `locked` holds the edit marks: the ids inserted or updated during the
+    current evaluation. Only `with_tuple` adds to it; a store at rest (a
+    loaded snapshot, a session between queries, a saved file) has none.
+    A store is persistent: its `tuples` dict is never mutated once handed out.
+    """
 
     tuples: dict[EntityId, StoreTuple] = field(default_factory=dict)
+    locked: frozenset[EntityId] = frozenset()
 
     def get(self, id: EntityId) -> StoreTuple | None:
         return self.tuples.get(id)
 
-    def ids(self) -> list[EntityId]:
-        return list(self.tuples)
-
     def with_tuple(self, id: EntityId, tup: StoreTuple) -> Store:
-        """Functional update: a new store with `id` bound to `tup`."""
-        new = dict(self.tuples)
-        new[id] = tup
-        return Store(new)
+        """Functional update: a new store with `id` bound to `tup` and marked."""
+        return Store({**self.tuples, id: tup}, self.locked | {id})
 
     def unlock_all(self) -> Store:
-        """Fresh store with every edit mark reset to unlocked."""
-        return Store(
-            {
-                i: StoreTuple(t.type_name, False, t.record)
-                for i, t in self.tuples.items()
-            }
-        )
+        """The same tuples with every edit mark cleared."""
+        return Store(self.tuples)
 
     def max_numeric_id(self) -> int:
         best = 0

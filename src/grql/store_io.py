@@ -4,7 +4,8 @@ A snapshot is a JSON object with a format version, the schema source text
 (the grammar is the single source of truth for schemas), an entity list, and
 the id counter. Scalar cells use native JSON types; reference cells are
 {"ref": id} with an optional "props" map of link-property sequences. Edit
-marks are not persisted; stores load with every tuple unlocked.
+marks (`Store.locked`) live only inside one evaluation, so a snapshot holds
+none: a loaded store has no marks, and saving ignores any a store carries.
 """
 
 from __future__ import annotations
@@ -119,7 +120,7 @@ def load_snapshot(text: str) -> LoadedSnapshot:
                 if v is not None:
                     seq.append(v)
             record[label_for(key)] = seq
-        store.tuples[id] = StoreTuple(str(ent["type"]), False, record)
+        store.tuples[id] = StoreTuple(str(ent["type"]), record)
         try:
             max_id = max(max_id, int(id))
         except ValueError:

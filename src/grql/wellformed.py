@@ -192,8 +192,8 @@ def type_computed_seq(
     """Computed-value sequence typing against an initial and an extended store.
 
     A reference types either because its id was present in the initial store
-    with the right type name, or because it is a locked tuple of the extended
-    store carrying an entry for every label of its schema type; carried
+    with the right type name, or because the extended store holds it with an
+    edit mark and it carries an entry for every label of its schema type; carried
     entries type recursively either way.
     """
     if not m.admits(len(vals)):
@@ -218,7 +218,7 @@ def _type_computed_value(schema: Schema, init_store: Store, ext_store: Store, v,
         ok = (
             decl is not None
             and ext_tup is not None
-            and ext_tup.locked
+            and v.id in ext_store.locked
             and ext_tup.type_name == ty.target
             and set(decl.labels) <= set(v.shape)
         )
@@ -232,15 +232,16 @@ def _type_computed_value(schema: Schema, init_store: Store, ext_store: Store, v,
 
 def store_extends(base: Store, ext: Store) -> bool:
     """Database store extension: every id of base appears in ext with the same
-    type name, and every unlocked tuple of ext appears verbatim in base."""
+    type name, and every tuple of ext without an edit mark appears verbatim,
+    also unmarked, in base."""
     for id, tup in base.tuples.items():
         other = ext.get(id)
         if other is None or other.type_name != tup.type_name:
             return False
     for id, tup in ext.tuples.items():
-        if tup.locked:
+        if id in ext.locked:
             continue
         orig = base.get(id)
-        if orig is None or orig.locked or orig.type_name != tup.type_name or orig.record != tup.record:
+        if orig is None or id in base.locked or orig.type_name != tup.type_name or orig.record != tup.record:
             return False
     return True

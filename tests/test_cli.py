@@ -179,6 +179,21 @@ def test_repl_two_queries_on_one_line(store_file):
     assert out.getvalue() == "1\n2\n"
 
 
+def test_repl_reports_each_load_diagnostic_on_its_own_line(store_file, tmp_path, capsys):
+    from grql.cli import cmd_repl
+
+    doc = json.loads(store_file.read_text())
+    doc["entities"][0]["fields"]["age"] = [{"bad": 1}]
+    doc["entities"][1]["fields"]["age"] = [{"bad": 2}]
+    bad = tmp_path / "bad.grdb.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    args = type("A", (), {"store": str(bad), "seed": None, "dedup": False,
+                          "format": "json"})()
+    assert cmd_repl(args, stdin=io.StringIO("\\quit\n"), stdout=io.StringIO()) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 2 and all(line.startswith("BadCell #") for line in lines)
+
+
 def test_repl_error_keeps_session_alive(store_file):
     from grql.cli import cmd_repl
 
@@ -194,6 +209,37 @@ def test_repl_error_keeps_session_alive(store_file):
 def test_fuzz_subcommand(capsys):
     assert main(["fuzz", "--cases", "50", "--seed", "3"]) == 0
     assert "0 counter-example(s)" in capsys.readouterr().out
+
+
+def test_fuzz_writes_shrunk_counterexamples_that_replay(tmp_path, monkeypatch, capsys):
+    from grql import core
+    from grql.evaluator import Evaluator
+    from grql.harness import GenConfig, gen_instance
+
+    run = Evaluator.run
+
+    def union_drops_element(self, env, store, e):
+        result, store = run(self, env, store, e)
+        if isinstance(e, core.Union) and result:
+            result = result[:-1]
+        return result, store
+
+    monkeypatch.setattr(Evaluator, "run", union_drops_element)
+    monkeypatch.chdir(tmp_path)
+    assert main(["fuzz", "--cases", "30", "--seed", "1"]) == 1
+    capsys.readouterr()
+    files = sorted(tmp_path.glob("counterexample-*.json"))
+    assert files
+    shrunk_any = False
+    for path in files:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        unshrunk = core.to_text(gen_instance(GenConfig(seed=doc["seed"], **doc["config"])).expr)
+        assert len(doc["expr"]) <= len(unshrunk)
+        shrunk_any |= len(doc["expr"]) < len(unshrunk)
+        # replay regenerates from the seed and shrinks to the same instance
+        assert main(["fuzz", "--replay", str(path)]) == 1
+        assert capsys.readouterr().err.splitlines()[-1] == doc["expr"]
+    assert shrunk_any
 
 
 def test_console_entry_point(store_file):
@@ -213,3 +259,27 @@ def test_env_seed_default(store_file, capsys, monkeypatch):
     main(["run", str(store_file), "Movie.title"])
     canonical = json.loads(capsys.readouterr().out)
     assert sorted(with_env) == sorted(canonical)
+
+
+def test_session_read_only_query_keeps_the_store():
+    from grql.cli import Session
+    from grql.store_io import load_seed
+
+    session = Session.from_snapshot(load_seed())
+    tuples = session.store.tuples
+    session.run_query("select Movie { title, n := count(.actors) }")
+    assert session.store.tuples is tuples
+    assert session.store.locked == frozenset()
+
+
+def test_session_clears_edit_marks_between_queries():
+    from grql.cli import Session
+    from grql.model import IntVal, olabel
+    from grql.store_io import load_seed
+
+    session = Session.from_snapshot(load_seed())
+    (new,), _, _ = session.run_query('insert Person { name := "N", age := 1, born := <str>{} }')
+    # the insert marked the new tuple; the next query may update it
+    result, _, _ = session.run_query('update Person filter .name = "N" set { age := 2 }')
+    assert [w.id for w in result] == [new.id]
+    assert session.store.tuples[new.id].record[olabel("age")] == [IntVal(2)]

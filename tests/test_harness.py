@@ -94,11 +94,9 @@ class _InsertForgetsLock(Evaluator):
     def run(self, env, store, e):
         result, store = super().run(env, store, e)
         if isinstance(e, core.Insert):
-            from grql.model import StoreTuple
+            from grql.model import Store
 
-            new_id = result[0].id
-            tup = store.get(new_id)
-            store = store.with_tuple(new_id, StoreTuple(tup.type_name, False, tup.record))
+            store = Store(store.tuples, store.locked - {result[0].id})
         return result, store
 
 
@@ -138,11 +136,9 @@ class _NameLocksATuple(Evaluator):
     def run(self, env, store, e):
         result, store = super().run(env, store, e)
         if isinstance(e, core.Name) and store.tuples:
-            from grql.model import StoreTuple
-
             id, tup = next(iter(store.tuples.items()))
-            if not tup.locked:
-                store = store.with_tuple(id, StoreTuple(tup.type_name, True, tup.record))
+            if id not in store.locked:
+                store = store.with_tuple(id, tup)
         return result, store
 
 
@@ -166,7 +162,7 @@ class _InsertAddsBogusLabel(Evaluator):
             tup = store.get(id)
             record = dict(tup.record)
             record[olabel("bogus")] = []
-            store = store.with_tuple(id, StoreTuple(tup.type_name, True, record))
+            store = store.with_tuple(id, StoreTuple(tup.type_name, record))
         return result, store
 
 

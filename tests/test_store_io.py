@@ -29,8 +29,8 @@ def test_seed_snapshot_contents():
     assert tr.record[olabel("actors")][0] == StoredRef("2", {CHAR: [StrVal("Meg Tech")]})
     assert snap.store.tuples["11"].record[NAME] == [StrVal("Christopher Nolens")]
     assert snap.store.tuples["1"].record[AGE] == [IntVal(60)]
-    # marks normalize to unlocked on load
-    assert not any(t.locked for t in snap.store.tuples.values())
+    # a loaded store carries no edit marks
+    assert snap.store.locked == frozenset()
 
 
 def test_round_trip_identity():

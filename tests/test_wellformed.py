@@ -68,7 +68,7 @@ def test_running_store_ok(seed_schema, seed_store):
 
 def test_store_cardinality_violation(seed_schema, seed_store):
     store = Store(dict(seed_store.tuples))
-    broken = StoreTuple("Movie", False, dict(store.tuples["7"].record))
+    broken = StoreTuple("Movie", dict(store.tuples["7"].record))
     broken.record[DIRECTORS] = []  # declared [1,inf]
     store.tuples["7"] = broken
     assert "CardinalityViolation" in codes(check_store(seed_schema, store))
@@ -76,7 +76,7 @@ def test_store_cardinality_violation(seed_schema, seed_store):
 
 def test_store_dangling_ref(seed_schema, seed_store):
     store = Store(dict(seed_store.tuples))
-    broken = StoreTuple("Movie", False, dict(store.tuples["7"].record))
+    broken = StoreTuple("Movie", dict(store.tuples["7"].record))
     broken.record[ACTORS] = [StoredRef("99", {CHAR: [StrVal("Ghost")]})]
     store.tuples["7"] = broken
     assert "DanglingRef" in codes(check_store(seed_schema, store))
@@ -87,7 +87,7 @@ def test_store_missing_and_extra_labels(seed_schema, seed_store):
     rec = dict(store.tuples["1"].record)
     del rec[BORN]
     rec[olabel("extra")] = [IntVal(1)]
-    store.tuples["1"] = StoreTuple("Person", False, rec)
+    store.tuples["1"] = StoreTuple("Person", rec)
     found = codes(check_store(seed_schema, store))
     assert {"MissingLabel", "ExtraLabel"} <= found
 
@@ -96,13 +96,13 @@ def test_store_value_type_mismatch(seed_schema, seed_store):
     store = Store(dict(seed_store.tuples))
     rec = dict(store.tuples["1"].record)
     rec[AGE] = [StrVal("old")]
-    store.tuples["1"] = StoreTuple("Person", False, rec)
+    store.tuples["1"] = StoreTuple("Person", rec)
     assert "ValueTypeMismatch" in codes(check_store(seed_schema, store))
 
 
 def test_store_unknown_type(seed_schema, seed_store):
     store = Store(dict(seed_store.tuples))
-    store.tuples["50"] = StoreTuple("Alien", False, {})
+    store.tuples["50"] = StoreTuple("Alien", {})
     assert "UnknownType" in codes(check_store(seed_schema, store))
 
 
@@ -163,11 +163,10 @@ def test_computed_new_ref_needs_all_labels_and_lock(seed_schema, seed_store):
         DIRECTORS: invis([ObjVal("1", {})]),
         ACTORS: invis([]),
     })
-    ext = Store(dict(seed_store.tuples))
-    ext.tuples["40"] = StoreTuple("Movie", True, {
+    ext = seed_store.with_tuple("40", StoreTuple("Movie", {
         TITLE: [StrVal("New")], YEAR: [IntVal(2030)],
         DIRECTORS: [StoredRef("1", {})], ACTORS: [],
-    })
+    }))
     ty = ObjType("Movie", full_entries)
     assert type_computed_seq(seed_schema, seed_store, ext, [new_val], ty, ONE)
 
@@ -177,8 +176,7 @@ def test_computed_new_ref_needs_all_labels_and_lock(seed_schema, seed_store):
     assert not type_computed_seq(seed_schema, seed_store, ext, [partial], ty_partial, ONE)
 
     # an unlocked extension tuple does not type either
-    ext_unlocked = Store(dict(seed_store.tuples))
-    ext_unlocked.tuples["40"] = StoreTuple("Movie", False, ext.tuples["40"].record)
+    ext_unlocked = Store(ext.tuples)
     assert not type_computed_seq(seed_schema, seed_store, ext_unlocked, [new_val], ty, ONE)
 
 
@@ -186,10 +184,9 @@ def test_computed_monotone_in_extension(seed_schema, seed_store):
     # typing holds with the initial store extended by an unrelated insert
     vals = [ObjVal("7", {})]
     ty = ObjType("Movie", {})
-    ext = Store(dict(seed_store.tuples))
-    ext.tuples["77"] = StoreTuple("Person", True, {
+    ext = seed_store.with_tuple("77", StoreTuple("Person", {
         NAME: [StrVal("X")], AGE: [IntVal(1)], BORN: [],
-    })
+    }))
     assert store_extends(seed_store, ext)
     assert type_computed_seq(seed_schema, seed_store, seed_store, vals, ty, MANY)
     assert type_computed_seq(seed_schema, seed_store, ext, vals, ty, MANY)
@@ -217,21 +214,19 @@ def test_extension_reflexive(seed_store):
 
 
 def test_extension_with_fresh_locked_insert(seed_store):
-    ext = Store(dict(seed_store.tuples))
-    ext.tuples["90"] = StoreTuple("Person", True, {NAME: [StrVal("N")], AGE: [IntVal(2)], BORN: []})
+    ext = seed_store.with_tuple("90", StoreTuple("Person", {NAME: [StrVal("N")], AGE: [IntVal(2)], BORN: []}))
     assert store_extends(seed_store, ext)
     # but not the other way round
     assert not store_extends(ext, seed_store)
 
 
 def test_extension_rejects_changed_unlocked_tuple(seed_store):
-    ext = Store(dict(seed_store.tuples))
-    rec = dict(ext.tuples["1"].record)
+    rec = dict(seed_store.tuples["1"].record)
     rec[AGE] = [IntVal(61)]
-    ext.tuples["1"] = StoreTuple("Person", False, rec)
+    ext = Store({**seed_store.tuples, "1": StoreTuple("Person", rec)})
     assert not store_extends(seed_store, ext)
     # locking the modified tuple makes it a legal edit
-    ext.tuples["1"] = StoreTuple("Person", True, rec)
+    ext = Store(ext.tuples, frozenset({"1"}))
     assert store_extends(seed_store, ext)
 
 
@@ -253,9 +248,7 @@ def test_shaped_query_result_types_at_synthesized_type(seed_snapshot):
 
 
 def test_extension_transitive(seed_store):
-    mid = Store(dict(seed_store.tuples))
-    mid.tuples["90"] = StoreTuple("Person", True, {NAME: [StrVal("A")], AGE: [IntVal(1)], BORN: []})
-    top = Store(dict(mid.tuples))
-    top.tuples["91"] = StoreTuple("Person", True, {NAME: [StrVal("B")], AGE: [IntVal(2)], BORN: []})
+    mid = seed_store.with_tuple("90", StoreTuple("Person", {NAME: [StrVal("A")], AGE: [IntVal(1)], BORN: []}))
+    top = mid.with_tuple("91", StoreTuple("Person", {NAME: [StrVal("B")], AGE: [IntVal(2)], BORN: []}))
     assert store_extends(seed_store, mid) and store_extends(mid, top)
     assert store_extends(seed_store, top)
