@@ -1,8 +1,8 @@
 """Built-in function registry: signatures, resolution, and interpretations.
 
-The table is closed but extensible via register(). Signature resolution is a
-function of the name and the argument types; eq and coalesce are polymorphic
-with their type variable instantiated from the arguments.
+The table is closed. Each builtin states its parameter modifiers once; its
+result type is a function of the argument types, and eq and coalesce are
+polymorphic with their type variable instantiated from the arguments.
 """
 
 from __future__ import annotations
@@ -41,11 +41,7 @@ MODIFIER_CARD: dict[ParamModifier, Cardinality] = {
 }
 
 
-@dataclass
-class BuiltinSignature:
-    name: str
-    params: tuple[tuple[ComputedType, ParamModifier], ...]
-    result: tuple[ComputedType, Cardinality]
+Result = tuple[ComputedType, Cardinality]
 
 
 class BuiltinDomainError(Exception):
@@ -56,7 +52,9 @@ class BuiltinDomainError(Exception):
 class BuiltinSpec:
     name: str
     modifiers: tuple[ParamModifier, ...]
-    resolve: Callable[[list[ComputedType]], BuiltinSignature | None]
+    # the argument types -> the result (type, cardinality), or None when no
+    # signature fits; each argument's cardinality is bounded by its modifier
+    resolve: Callable[[list[ComputedType]], Result | None]
     run: Callable[[list[ValueSeq]], ValueSeq]
 
 
@@ -76,52 +74,46 @@ def _value_eq(a, b) -> bool:
     return a == b
 
 
-def _sig(name: str, params, result) -> BuiltinSignature:
-    return BuiltinSignature(name, tuple(params), result)
+def _resolve_count(args: list[ComputedType]) -> Result | None:
+    return ScalarType.INT, ONE
 
 
-def _resolve_count(args: list[ComputedType]) -> BuiltinSignature | None:
-    return _sig("count", [(args[0], ParamModifier.MANY)], (ScalarType.INT, ONE))
-
-
-def _resolve_eq(args: list[ComputedType]) -> BuiltinSignature | None:
+def _resolve_eq(args: list[ComputedType]) -> Result | None:
     if args[0] != args[1]:
         return None
-    return _sig("eq", [(args[0], ParamModifier.ONE), (args[1], ParamModifier.ONE)],
-                (ScalarType.BOOL, ONE))
+    return ScalarType.BOOL, ONE
 
 
-def _resolve_append(args: list[ComputedType]) -> BuiltinSignature | None:
+def _resolve_append(args: list[ComputedType]) -> Result | None:
     if args[0] is not ScalarType.STR or args[1] is not ScalarType.STR:
         return None
-    return _sig("append", [(ScalarType.STR, ParamModifier.ONE)] * 2, (ScalarType.STR, ONE))
+    return ScalarType.STR, ONE
 
 
-def _resolve_coalesce(args: list[ComputedType]) -> BuiltinSignature | None:
+def _resolve_coalesce(args: list[ComputedType]) -> Result | None:
     if args[0] != args[1]:
         return None
-    return _sig("coalesce", [(args[0], ParamModifier.OPT), (args[1], ParamModifier.MANY)],
-                (args[0], MANY))
+    return args[0], MANY
 
 
-def _resolve_any(args: list[ComputedType]) -> BuiltinSignature | None:
+def _resolve_any(args: list[ComputedType]) -> Result | None:
     if args[0] is not ScalarType.BOOL:
         return None
-    return _sig("any", [(ScalarType.BOOL, ParamModifier.MANY)], (ScalarType.BOOL, ONE))
+    return ScalarType.BOOL, ONE
 
 
-def _resolve_int_binop(name: str, result: ScalarType):
-    def resolve(args: list[ComputedType]) -> BuiltinSignature | None:
+def _resolve_int_binop(result: ScalarType):
+    def resolve(args: list[ComputedType]) -> Result | None:
         if args[0] is not ScalarType.INT or args[1] is not ScalarType.INT:
             return None
-        return _sig(name, [(ScalarType.INT, ParamModifier.ONE)] * 2, (result, ONE))
+        return result, ONE
     return resolve
 
 
-def _resolve_not(args: list[ComputedType]) -> BuiltinSignature | None:
+def _resolve_not(args: list[ComputedType]) -> Result | None:
     if args[0] is not ScalarType.BOOL:
         return None
-    return _sig("not", [(ScalarType.BOOL, ParamModifier.ONE)], (ScalarType.BOOL, ONE))
+    return ScalarType.BOOL, ONE
 
 
 def _run_count(args: list[ValueSeq]) -> ValueSeq:
@@ -156,18 +148,13 @@ def _run_not(args: list[ValueSeq]) -> ValueSeq:
     return [BoolVal(not args[0][0].value)]
 
 
-REGISTRY: dict[str, BuiltinSpec] = {}
-
-
-def register(spec: BuiltinSpec) -> None:
-    REGISTRY[spec.name] = spec
-
-
-register(BuiltinSpec("count", (ParamModifier.MANY,), _resolve_count, _run_count))
-register(BuiltinSpec("eq", (ParamModifier.ONE, ParamModifier.ONE), _resolve_eq, _run_eq))
-register(BuiltinSpec("append", (ParamModifier.ONE, ParamModifier.ONE), _resolve_append, _run_append))
-register(BuiltinSpec("coalesce", (ParamModifier.OPT, ParamModifier.MANY), _resolve_coalesce, _run_coalesce))
-register(BuiltinSpec("any", (ParamModifier.MANY,), _resolve_any, _run_any))
-register(BuiltinSpec("add", (ParamModifier.ONE, ParamModifier.ONE), _resolve_int_binop("add", ScalarType.INT), _run_add))
-register(BuiltinSpec("lt", (ParamModifier.ONE, ParamModifier.ONE), _resolve_int_binop("lt", ScalarType.BOOL), _run_lt))
-register(BuiltinSpec("not", (ParamModifier.ONE,), _resolve_not, _run_not))
+REGISTRY: dict[str, BuiltinSpec] = {spec.name: spec for spec in (
+    BuiltinSpec("count", (ParamModifier.MANY,), _resolve_count, _run_count),
+    BuiltinSpec("eq", (ParamModifier.ONE, ParamModifier.ONE), _resolve_eq, _run_eq),
+    BuiltinSpec("append", (ParamModifier.ONE, ParamModifier.ONE), _resolve_append, _run_append),
+    BuiltinSpec("coalesce", (ParamModifier.OPT, ParamModifier.MANY), _resolve_coalesce, _run_coalesce),
+    BuiltinSpec("any", (ParamModifier.MANY,), _resolve_any, _run_any),
+    BuiltinSpec("add", (ParamModifier.ONE, ParamModifier.ONE), _resolve_int_binop(ScalarType.INT), _run_add),
+    BuiltinSpec("lt", (ParamModifier.ONE, ParamModifier.ONE), _resolve_int_binop(ScalarType.BOOL), _run_lt),
+    BuiltinSpec("not", (ParamModifier.ONE,), _resolve_not, _run_not),
+)}

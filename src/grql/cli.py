@@ -1,7 +1,7 @@
 """Command-line front end: one-shot query runner, REPL, checker, and fuzzer.
 
-Exit codes: 0 success, 1 parse/type/runtime error in a query, 2 snapshot or
-store error. Results go to stdout, diagnostics to stderr. GRQL_SEED, when
+Exit codes: 0 success, 1 parse/type/runtime error in a query (or a failure
+`fuzz` found), 2 snapshot, store or counter-example file error. Results go to stdout, diagnostics to stderr. GRQL_SEED, when
 set, is the default permutation seed.
 """
 
@@ -12,7 +12,7 @@ import os
 import sys
 from dataclasses import dataclass
 
-from . import harness
+from . import core, harness
 from .desugar import DesugarError, desugar
 from .evaluator import EvalConfig, EvalFault, IdAllocator, evaluate
 from .model import Cardinality, ComputedType, Schema, Store
@@ -258,13 +258,17 @@ def cmd_repl(args, stdin=None, stdout=None) -> int:
 
 def cmd_fuzz(args) -> int:
     if args.replay:
-        with open(args.replay, encoding="utf-8") as fh:
-            ce = harness.replay_counterexample(fh.read())
+        try:
+            with open(args.replay, encoding="utf-8") as fh:
+                ce = harness.replay_counterexample(fh.read())
+        except (OSError, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_STORE_ERROR
         if ce is None:
             print("replay: no failure reproduced")
             return EXIT_OK
         print(f"replay: {ce.property_name}: {ce.witness}", file=sys.stderr)
-        print(ce.expr_text, file=sys.stderr)
+        print(core.to_text(ce.instance.expr), file=sys.stderr)
         return EXIT_QUERY_ERROR
 
     failures, coverage = harness.run_fuzz(args.cases, args.seed, workers=args.workers)
@@ -275,7 +279,7 @@ def cmd_fuzz(args) -> int:
         return EXIT_OK
     for ce in failures:
         shrunk = harness.shrink(ce)
-        path = f"counterexample-{shrunk.seed}.json"
+        path = f"counterexample-{shrunk.instance.config.seed}.json"
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(harness.counterexample_to_json(shrunk))
         print(f"{shrunk.property_name}: {shrunk.witness} -> {path}", file=sys.stderr)

@@ -58,11 +58,7 @@ class _Desugarer:
                 return core.Prim(v, span=e.span)
             case surface.SetLit():
                 items = _flatten_sets(e)
-                lowered = [self.lower(x, env, implicit) for x in items]
-                out = lowered[0]
-                for nxt in lowered[1:]:
-                    out = core.Union(out, nxt, span=e.span)
-                return out
+                return _balanced_union([self.lower(x, env, implicit) for x in items], e.span)
             case surface.EmptyCast(target=t):
                 ty = _CAST_TYPES.get(t, None)
                 if ty is None:
@@ -177,6 +173,16 @@ def _flatten_sets(e: surface.SurfaceExpr) -> list[surface.SurfaceExpr]:
             out.extend(_flatten_sets(item))
         return out
     return [e]
+
+
+def _balanced_union(items: list[core.Expr], span: Span | None) -> core.Expr:
+    """Union of the items in order, as a tree of depth log n, so that checking
+    and evaluating a long set literal stays within the recursion limit."""
+    if len(items) == 1:
+        return items[0]
+    mid = (len(items) + 1) // 2
+    return core.Union(_balanced_union(items[:mid], span), _balanced_union(items[mid:], span),
+                      span=span)
 
 
 def desugar(e: surface.SurfaceExpr) -> core.Expr:

@@ -4,7 +4,8 @@ Generates well-formed schemas and stores plus well-typed core expressions,
 then checks the soundness theorems as executable properties: every seeded
 evaluation succeeds (totality), results type at the synthesized type and
 cardinality (preservation), the final store stays well-formed and extends the
-initial one, and runs under different permutation seeds agree up to
+initial one, an expression without insert or update leaves the store as it
+was (read isolation), and runs under different permutation seeds agree up to
 permutation at every set boundary (with freshly inserted ids compared up to
 renaming).
 
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 
 from . import core
 from .evaluator import EvalConfig, EvalFault, Evaluator, IdAllocator
@@ -97,19 +98,18 @@ class Instance:
     ty: ComputedType
     card: Cardinality
     mutations: bool
+    config: GenConfig
 
 
 @dataclass
 class CounterExample:
-    seed: int
-    config: GenConfig
+    """A failed property: the instance it failed on (generated from, or
+    shrunk down from, `instance.config`) and the evaluation seeds."""
+
+    instance: Instance
     eval_seeds: list[int]
     property_name: str
     witness: str
-    schema_text: str
-    snapshot_text: str
-    expr_text: str
-    instance: Instance | None = field(default=None, repr=False, compare=False)
 
 
 Context = dict[str, tuple[ComputedType, Cardinality]]
@@ -676,7 +676,7 @@ def gen_instance(cfg: GenConfig) -> Instance:
 
     ty, card = synth(schema, {}, expr)
     assert not check_schema(schema) and not check_store(schema, store)
-    return Instance(schema, store, expr, ty, card, mutations)
+    return Instance(schema, store, expr, ty, card, mutations, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -755,15 +755,7 @@ def check_soundness(instance: Instance, eval_seeds: list[int],
     """Run the executable soundness properties; None means all passed."""
 
     def ce(prop: str, witness: str) -> CounterExample:
-        return CounterExample(
-            seed=0, config=GenConfig(), eval_seeds=list(eval_seeds),
-            property_name=prop, witness=witness,
-            schema_text=schema_to_source(instance.schema),
-            snapshot_text=save_snapshot(schema_to_source(instance.schema), instance.store,
-                                        instance.store.max_numeric_id() + 1),
-            expr_text=core.to_text(instance.expr),
-            instance=instance,
-        )
+        return CounterExample(instance, list(eval_seeds), prop, witness)
 
     base_ids = set(instance.store.tuples)
     mutating = _has_mutations(instance.expr)
@@ -830,9 +822,6 @@ def run_case(master_seed: int, index: int, base: GenConfig) -> tuple[CounterExam
     cfg = replace(base, seed=_derive_case_seed(master_seed, index))
     instance = gen_instance(cfg)
     ce = check_soundness(instance, _derive_eval_seeds(master_seed, index))
-    if ce is not None:
-        ce.seed = cfg.seed
-        ce.config = cfg
     return ce, constructor_counts(instance.expr)
 
 
@@ -874,39 +863,46 @@ def run_fuzz(cases: int, master_seed: int, base: GenConfig | None = None,
 # Counterexample files and shrinking
 
 def counterexample_to_json(ce: CounterExample) -> str:
+    """The file `grql fuzz` writes. Replay reads `seed`, `config` and
+    `eval_seeds`; `snapshot` and `expr` show the shrunk instance to a reader."""
+    inst = ce.instance
+    config = asdict(inst.config)
+    seed = config.pop("seed")
     doc = {
-        "seed": ce.seed,
-        "config": {
-            "max_types": ce.config.max_types,
-            "max_labels": ce.config.max_labels,
-            "max_depth": ce.config.max_depth,
-            "max_store_size": ce.config.max_store_size,
-            "max_expr_depth": ce.config.max_expr_depth,
-            "mutation_probability": ce.config.mutation_probability,
-        },
+        "seed": seed,
+        "config": config,
         "eval_seeds": ce.eval_seeds,
         "property": ce.property_name,
         "witness": ce.witness,
-        "schema": ce.schema_text,
-        "snapshot": ce.snapshot_text,
-        "expr": ce.expr_text,
+        "snapshot": save_snapshot(schema_to_source(inst.schema), inst.store,
+                                  inst.store.max_numeric_id() + 1),
+        "expr": core.to_text(inst.expr),
     }
     return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
 
 
 def replay_counterexample(text: str) -> CounterExample | None:
     """Re-run a stored counter-example from its seed; returns the reproduced
-    failure, shrunk, or None if it no longer fails. Shrinking is
-    deterministic, so this is the instance the fuzzer wrote to the file."""
-    doc = json.loads(text)
-    cfg = GenConfig(seed=doc["seed"], **doc["config"])
-    instance = gen_instance(cfg)
-    ce = check_soundness(instance, list(doc["eval_seeds"]))
-    if ce is None:
-        return None
-    ce.seed = cfg.seed
-    ce.config = cfg
-    return shrink(ce)
+    failure, shrunk, or None if it no longer fails. Generation, evaluation
+    and shrinking are deterministic, so this is the instance the fuzzer wrote
+    to the file. Raises ValueError when the text is not such a file."""
+    try:
+        doc = json.loads(text)
+        cfg = GenConfig(seed=doc["seed"], **doc["config"])
+        eval_seeds = doc["eval_seeds"]
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"not valid JSON: {exc}") from None
+    except KeyError as exc:
+        raise ValueError(f"counter-example file has no {exc} key") from None
+    except TypeError as exc:
+        raise ValueError(f"not a counter-example file: {exc}") from None
+    if not isinstance(cfg.seed, int):
+        raise ValueError("seed must be an integer")
+    if not (isinstance(eval_seeds, list) and eval_seeds
+            and all(isinstance(s, int) for s in eval_seeds)):
+        raise ValueError("eval_seeds must be a non-empty list of integers")
+    ce = check_soundness(gen_instance(cfg), eval_seeds)
+    return None if ce is None else shrink(ce)
 
 
 def _closed(e: core.Expr) -> bool:
@@ -926,17 +922,16 @@ def _subtrees(e: core.Expr) -> list[core.Expr]:
 
 def shrink(ce: CounterExample, evaluator_cls=Evaluator) -> CounterExample:
     """Greedy shrink: replace the expression by a failing closed subtree and
-    drop store tuples while the same property still fails. Non-reproducing
-    input is returned unchanged."""
-    if ce.instance is None:
-        return ce
+    drop store tuples while the same property still fails. `ce` must be what
+    check_soundness returned for its instance; since evaluation is
+    deterministic, the last failing candidate's record is the result, and
+    `ce` itself when no candidate fails."""
     instance = ce.instance
-    if check_soundness(instance, ce.eval_seeds, evaluator_cls=evaluator_cls) is None:
-        return ce
+    prop = ce.property_name
 
-    def still_fails(candidate: Instance) -> bool:
+    def fails(candidate: Instance) -> CounterExample | None:
         found = check_soundness(candidate, ce.eval_seeds, evaluator_cls=evaluator_cls)
-        return found is not None and found.property_name == ce.property_name
+        return found if found is not None and found.property_name == prop else None
 
     budget = 200
     changed = True
@@ -952,10 +947,9 @@ def shrink(ce: CounterExample, evaluator_cls=Evaluator) -> CounterExample:
                 ty, card = synth(instance.schema, {}, sub)
             except Exception:
                 continue
-            candidate = Instance(instance.schema, instance.store, sub, ty, card,
-                                 instance.mutations)
-            if still_fails(candidate):
-                instance = candidate
+            found = fails(replace(instance, expr=sub, ty=ty, card=card))
+            if found is not None:
+                ce, instance = found, found.instance
                 changed = True
                 break
         for id in list(instance.store.tuples):
@@ -965,14 +959,9 @@ def shrink(ce: CounterExample, evaluator_cls=Evaluator) -> CounterExample:
             if check_store(instance.schema, smaller):
                 continue
             budget -= 1
-            candidate = Instance(instance.schema, smaller, instance.expr, instance.ty,
-                                 instance.card, instance.mutations)
-            if still_fails(candidate):
-                instance = candidate
+            found = fails(replace(instance, store=smaller))
+            if found is not None:
+                ce, instance = found, found.instance
                 changed = True
                 break
-
-    out = check_soundness(instance, ce.eval_seeds, evaluator_cls=evaluator_cls)
-    assert out is not None
-    out.seed, out.config = ce.seed, ce.config
-    return out
+    return ce

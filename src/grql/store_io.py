@@ -60,8 +60,12 @@ def _cell_to_value(cell, path: str, diags: list[Diagnostic]):
     if isinstance(cell, str):
         return StrVal(cell)
     if isinstance(cell, dict) and "ref" in cell:
+        cell_props = cell.get("props", {})
+        if not isinstance(cell_props, dict):
+            diags.append(Diagnostic("BadCell", path, "link properties must be an object"))
+            return None
         props: dict[Label, list] = {}
-        for key, seq in cell.get("props", {}).items():
+        for key, seq in cell_props.items():
             if not isinstance(seq, list):
                 diags.append(Diagnostic("BadCell", f"{path}.{key}", "link property must be a list"))
                 continue
@@ -90,6 +94,8 @@ def load_snapshot(text: str) -> LoadedSnapshot:
         raise SnapshotError([Diagnostic("BadSnapshot", "-", f"missing or unsupported format version (need v={FORMAT_VERSION})")])
 
     schema_text = doc.get("schema", "")
+    if not isinstance(schema_text, str):
+        raise SnapshotError([Diagnostic("BadSnapshot", "schema", "schema must be source text")])
     try:
         decls = parse_schema(schema_text)
     except ParseError as exc:
@@ -98,9 +104,12 @@ def load_snapshot(text: str) -> LoadedSnapshot:
     diags.extend(build_diags)
     diags.extend(check_schema(schema))
 
+    entities = doc.get("entities", [])
+    if not isinstance(entities, list):
+        diags.append(Diagnostic("BadSnapshot", "entities", "entities must be a list"))
+        entities = []
     store = Store()
-    max_id = 0
-    for i, ent in enumerate(doc.get("entities", [])):
+    for i, ent in enumerate(entities):
         if not isinstance(ent, dict) or "id" not in ent or "type" not in ent:
             diags.append(Diagnostic("BadSnapshot", f"entities[{i}]", "entity needs id and type"))
             continue
@@ -108,8 +117,12 @@ def load_snapshot(text: str) -> LoadedSnapshot:
         if store.get(id) is not None:
             diags.append(Diagnostic("DuplicateId", f"#{id}", "entity id appears more than once"))
             continue
+        fields = ent.get("fields", {})
+        if not isinstance(fields, dict):
+            diags.append(Diagnostic("BadSnapshot", f"#{id}", "fields must be an object"))
+            continue
         record = {}
-        for key, cells in ent.get("fields", {}).items():
+        for key, cells in fields.items():
             path = f"#{id}.{key}"
             if not isinstance(cells, list):
                 diags.append(Diagnostic("BadCell", path, "field must hold a list of cells"))
@@ -121,10 +134,6 @@ def load_snapshot(text: str) -> LoadedSnapshot:
                     seq.append(v)
             record[label_for(key)] = seq
         store.tuples[id] = StoreTuple(str(ent["type"]), record)
-        try:
-            max_id = max(max_id, int(id))
-        except ValueError:
-            pass
 
     if not diags:
         diags.extend(check_store(schema, store))
@@ -134,7 +143,7 @@ def load_snapshot(text: str) -> LoadedSnapshot:
     next_id = doc.get("nextId", 0)
     if not isinstance(next_id, int):
         next_id = 0
-    return LoadedSnapshot(schema, store, max(next_id, max_id + 1), schema_text)
+    return LoadedSnapshot(schema, store, max(next_id, store.max_numeric_id() + 1), schema_text)
 
 
 def _value_to_cell(v):

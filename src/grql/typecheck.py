@@ -9,7 +9,7 @@ codes.
 from __future__ import annotations
 
 from . import core
-from .builtins import MODIFIER_CARD, REGISTRY, BuiltinSignature
+from .builtins import MODIFIER_CARD, REGISTRY
 from .model import (
     AT_MOST_ONE,
     Cardinality,
@@ -55,16 +55,17 @@ class TypeCheckError(Exception):
         return f"{self.code}: {self.message}"
 
 
-def resolve_builtin(name: str, arg_types: list[ComputedType]) -> BuiltinSignature:
-    """The unique signature for this name and argument type sequence."""
+def resolve_builtin(name: str, arg_types: list[ComputedType]) -> tuple[ComputedType, Cardinality]:
+    """The result type and cardinality of the unique signature for this name
+    and argument type sequence."""
     spec = REGISTRY.get(name)
     if spec is None or len(arg_types) != len(spec.modifiers):
         raise TypeCheckError("NoSignature", f"no signature for {name}/{len(arg_types)}")
-    sig = spec.resolve(arg_types)
-    if sig is None:
+    result = spec.resolve(arg_types)
+    if result is None:
         shown = ", ".join(str(t) for t in arg_types)
         raise TypeCheckError("NoSignature", f"no signature for {name}({shown})")
-    return sig
+    return result
 
 
 def extend_type(base: ObjType, new: list[tuple[Label, tuple[ComputedType, Cardinality]]]) -> ObjType:
@@ -166,8 +167,8 @@ def synth(schema: Schema, ctx: Context, e: core.Expr) -> tuple[ComputedType, Car
 
         case core.Call(fn=fn, args=args):
             arg_results = [synth(schema, ctx, a) for a in args]
-            sig = resolve_builtin(fn, [t for t, _ in arg_results])
-            for i, ((_, m), (_, mod)) in enumerate(zip(arg_results, sig.params)):
+            result = resolve_builtin(fn, [t for t, _ in arg_results])
+            for i, ((_, m), mod) in enumerate(zip(arg_results, REGISTRY[fn].modifiers)):
                 bound = MODIFIER_CARD[mod]
                 if not card_le(m, bound):
                     raise TypeCheckError(
@@ -175,7 +176,7 @@ def synth(schema: Schema, ctx: Context, e: core.Expr) -> tuple[ComputedType, Car
                         f"argument {i + 1} of {fn} has cardinality {m}, not within {bound}",
                         e.span,
                     )
-            return sig.result
+            return result
 
         case core.If(cond=c, then_branch=t, else_branch=f):
             tc, mc = synth(schema, ctx, c)

@@ -88,33 +88,10 @@ def type_stored_seq(
 ) -> bool:
     """Stored-value sequence typing: length within the mode and every element
     typed against ty. Reference elements must resolve in the store with the
-    right target type and carry exactly the declared link properties."""
-    if not m.admits(len(vals)):
-        return False
-    return all(_type_stored_value(schema, store, v, ty) for v in vals)
-
-
-def _type_stored_value(schema: Schema, store: Store, v, ty: StoredType) -> bool:
-    if isinstance(ty, ScalarType):
-        return not isinstance(v, (StoredRef, ObjVal)) and scalar_type_of(v) is ty
-    if not isinstance(v, StoredRef):
-        return False
-    tup = store.get(v.id)
-    if tup is None or tup.type_name != ty.target:
-        return False
-    props = ty.prop_map()
-    if set(v.link_props) != set(props):
-        return False
-    for lbl, (pty, pcard) in props.items():
-        seq = v.link_props[lbl]
-        if not pcard.admits(len(seq)):
-            return False
-        if not all(
-            not isinstance(x, (StoredRef, ObjVal)) and scalar_type_of(x) is pty
-            for x in seq
-        ):
-            return False
-    return True
+    right target type and carry exactly the declared link properties. This is
+    check_store's per-value judgment, so the two cannot disagree."""
+    return m.admits(len(vals)) and not any(
+        _stored_value_diags(schema, store, v, ty, "") for v in vals)
 
 
 def check_store(schema: Schema, store: Store) -> list[Diagnostic]:

@@ -85,6 +85,14 @@ def test_exit_codes(store_file, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_malformed_snapshot_shape_exits_2_with_a_diagnostic(store_file, capsys):
+    doc = json.loads(store_file.read_text())
+    doc["entities"][0]["fields"] = [1]
+    store_file.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["run", str(store_file), "count(Movie)"]) == 2
+    assert capsys.readouterr().err == "BadSnapshot #1 fields must be an object\n"
+
+
 def test_seed_flag_changes_order_but_not_multiset(store_file, capsys):
     main(["run", str(store_file), "Movie.title"])
     base = json.loads(capsys.readouterr().out)
@@ -240,6 +248,23 @@ def test_fuzz_writes_shrunk_counterexamples_that_replay(tmp_path, monkeypatch, c
         assert main(["fuzz", "--replay", str(path)]) == 1
         assert capsys.readouterr().err.splitlines()[-1] == doc["expr"]
     assert shrunk_any
+
+
+@pytest.mark.parametrize("text", [
+    None,                                     # the file does not exist
+    "not json",
+    '{"seed": 1, "eval_seeds": [1, 2, 3]}',   # no config
+    '{"seed": 1, "config": {"max_types": 0}, "eval_seeds": [1]}',
+    '{"seed": 1, "config": {"bogus": 1}, "eval_seeds": [1]}',
+    '{"seed": 1, "config": {}, "eval_seeds": []}',
+])
+def test_fuzz_replay_of_a_bad_file_exits_2(tmp_path, capsys, text):
+    path = tmp_path / "counterexample-1.json"
+    if text is not None:
+        path.write_text(text, encoding="utf-8")
+    assert main(["fuzz", "--replay", str(path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
 
 
 def test_console_entry_point(store_file):

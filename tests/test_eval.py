@@ -4,7 +4,6 @@ store, the evaluation helpers, builtin interpretations, and mutation rules."""
 import pytest
 
 from grql import core
-from grql.builtins import BuiltinSignature
 from grql.desugar import desugar
 from grql.evaluator import (
     EvalConfig,
@@ -70,6 +69,16 @@ def test_union_seeded_is_permutation(seed_snapshot):
     for seed in (1, 2, 99):
         seeded = run(seed_snapshot, "3 union 4 union 5", seed=seed).result
         assert seq_perm_eq(base, seeded)
+
+
+def test_long_set_literal_counts_without_deep_recursion(seed_snapshot):
+    text = "count({" + ",".join(map(str, range(5000))) + "})"
+    assert run(seed_snapshot, text).result == [IntVal(5000)]
+
+
+def test_long_set_literal_keeps_canonical_order(seed_snapshot):
+    text = "{" + ",".join(map(str, range(1000))) + "}"
+    assert run(seed_snapshot, text).result == [IntVal(i) for i in range(1000)]
 
 
 def test_name_evaluates_to_refs(seed_snapshot):

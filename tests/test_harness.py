@@ -20,6 +20,7 @@ from grql.harness import (
     run_fuzz,
     shrink,
 )
+from grql.store_io import load_snapshot
 from grql.typecheck import synth
 from grql.wellformed import check_schema, check_store
 
@@ -174,11 +175,7 @@ def test_harness_catches_ill_formed_store():
 
 def test_shrink_non_reproducing_returns_unchanged():
     inst = gen_instance(GenConfig(seed=1))
-    ce = CounterExample(
-        seed=1, config=GenConfig(seed=1), eval_seeds=[1, 2, 3],
-        property_name="preservation", witness="fabricated",
-        schema_text="", snapshot_text="", expr_text="", instance=inst,
-    )
+    ce = CounterExample(inst, [1, 2, 3], "preservation", "fabricated")
     assert shrink(ce) is ce
 
 
@@ -201,24 +198,19 @@ def test_counterexample_files_replay(tmp_path):
     assert ce is None  # the shipped evaluator is clean
     # fabricate a counterexample file from a clean case: replay must not fail
     inst = gen_instance(GenConfig(seed=7))
-    fake = CounterExample(
-        seed=7, config=GenConfig(seed=7), eval_seeds=[1, 2, 3],
-        property_name="preservation", witness="w",
-        schema_text="", snapshot_text="", expr_text=core.to_text(inst.expr),
-        instance=inst,
-    )
+    fake = CounterExample(inst, [1, 2, 3], "preservation", "w")
     text = counterexample_to_json(fake)
     doc = json.loads(text)
     assert doc["seed"] == 7 and doc["property"] == "preservation"
+    assert doc["expr"] == core.to_text(inst.expr)
+    # the snapshot carries the schema source; there is no separate key for it
+    assert "schema" not in doc
+    assert load_snapshot(doc["snapshot"]).store == inst.store
     assert replay_counterexample(text) is None
 
 
 def test_replay_is_deterministic():
-    fake = CounterExample(
-        seed=13, config=GenConfig(seed=13), eval_seeds=[4, 5, 6],
-        property_name="totality", witness="w", schema_text="", snapshot_text="",
-        expr_text="",
-    )
+    fake = CounterExample(gen_instance(GenConfig(seed=13)), [4, 5, 6], "totality", "w")
     text = counterexample_to_json(fake)
     assert counterexample_to_json(fake) == text
     assert replay_counterexample(text) is None

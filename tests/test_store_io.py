@@ -145,3 +145,34 @@ def test_repo_root_copy_matches_packaged_seed():
 
     root_copy = Path(__file__).parent.parent / "movies.grdb.json"
     assert root_copy.read_text(encoding="utf-8") == seed_snapshot_text()
+
+
+def _with_schema_int(doc):
+    doc["schema"] = 5
+
+
+def _with_fields_list(doc):
+    doc["entities"][0]["fields"] = [1]
+
+
+def _with_props_list(doc):
+    movie = next(ent for ent in doc["entities"] if ent["id"] == "7")
+    movie["fields"]["actors"][0]["props"] = [1]
+
+
+def _with_entities_int(doc):
+    doc["entities"] = 5
+
+
+@pytest.mark.parametrize("corrupt, code, path", [
+    (_with_schema_int, "BadSnapshot", "schema"),
+    (_with_fields_list, "BadSnapshot", "#1"),
+    (_with_props_list, "BadCell", "#7.actors"),
+    (_with_entities_int, "BadSnapshot", "entities"),
+])
+def test_malformed_json_shapes_are_diagnostics(corrupt, code, path):
+    doc = json.loads(seed_snapshot_text())
+    corrupt(doc)
+    with pytest.raises(SnapshotError) as err:
+        load_snapshot(json.dumps(doc))
+    assert (code, path) in [(d.code, d.path) for d in err.value.diagnostics]

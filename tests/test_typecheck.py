@@ -163,13 +163,11 @@ def test_determinism(seed_schema):
 # -- builtin signature resolution ---------------------------------------------
 
 def test_resolve_count():
-    sig = resolve_builtin("count", [ObjType("Movie", {})])
-    assert sig.result == (ScalarType.INT, ONE)
+    assert resolve_builtin("count", [ObjType("Movie", {})]) == (ScalarType.INT, ONE)
 
 
 def test_resolve_coalesce_polymorphic():
-    sig = resolve_builtin("coalesce", [ScalarType.STR, ScalarType.STR])
-    assert sig.result == (ScalarType.STR, MANY)
+    assert resolve_builtin("coalesce", [ScalarType.STR, ScalarType.STR]) == (ScalarType.STR, MANY)
 
 
 def test_resolve_eq_mismatch():
