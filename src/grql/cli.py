@@ -8,7 +8,9 @@ set, is the default permutation seed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
+import shutil
 import sys
 from dataclasses import dataclass
 
@@ -16,7 +18,7 @@ from . import core, harness
 from .desugar import DesugarError, desugar
 from .evaluator import EvalConfig, EvalFault, IdAllocator, evaluate
 from .model import Cardinality, ComputedType, Schema, Store
-from .parser import build_schema, parse_query, parse_schema
+from .parser import parse_query, parse_schema
 from .serialize import debug_print, serialize, to_json_text
 from .store_io import LoadedSnapshot, SnapshotError, load_snapshot, save_snapshot
 from .surface import ParseError
@@ -84,16 +86,30 @@ def _strip_query(text: str) -> str:
 
 
 def _write_snapshot(path: str, text: str) -> None:
-    """Single-writer discipline: hold an advisory exclusive lock while the
-    snapshot bytes go out (POSIX only; a no-op elsewhere)."""
-    with open(path, "w", encoding="utf-8") as fh:
+    """Replace the snapshot at `path` atomically: the text goes to `<path>.tmp`,
+    is flushed and fsynced, and is renamed over `path`, so a failed write
+    leaves the old snapshot whole. Writers take turns on an advisory lock on
+    `<path>.lock` (POSIX only; a no-op elsewhere)."""
+    tmp = path + ".tmp"
+    with open(path + ".lock", "a", encoding="utf-8") as lock:
         try:
             import fcntl
 
-            fcntl.flock(fh.fileno(), fcntl.LOCK_EX)
+            fcntl.flock(lock.fileno(), fcntl.LOCK_EX)
         except ImportError:
             pass
-        fh.write(text)
+        try:
+            with open(tmp, "w", encoding="utf-8") as fh:
+                with contextlib.suppress(FileNotFoundError):
+                    shutil.copymode(path, tmp)  # keep the snapshot's permissions
+                fh.write(text)
+                fh.flush()
+                os.fsync(fh.fileno())
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
+            raise
 
 
 def _open_snapshot(path: str) -> LoadedSnapshot | None:
@@ -147,7 +163,7 @@ def cmd_check(args) -> int:
     else:
         # a bare schema file
         try:
-            schema, diags = build_schema(parse_schema(text))
+            schema, diags = parse_schema(text)
         except ParseError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_STORE_ERROR

@@ -21,15 +21,14 @@ from __future__ import annotations
 
 from . import core, surface
 from .builtins import REGISTRY, ParamModifier
-from .model import IntVal, ObjType, ScalarType
+from .model import IntVal, ObjType
+from .parser import SCALAR_NAMES
 from .surface import Span
 
-_CAST_TYPES = {
-    "int": ScalarType.INT,
-    "int64": ScalarType.INT,
-    "str": ScalarType.STR,
-    "bool": ScalarType.BOOL,
-}
+# Most binders one query may lower to. The optional-parameter form lowers the
+# rest of a call once per branch, so each level of a right-nested `??` about
+# doubles the output; this stops such a query in well under a second.
+MAX_BINDERS = 20_000
 
 
 class DesugarError(Exception):
@@ -48,6 +47,8 @@ class _Desugarer:
         self.counter = 0
 
     def fresh(self) -> str:
+        if self.counter == MAX_BINDERS:
+            raise DesugarError("QueryTooLarge", f"query lowers to more than {MAX_BINDERS} binders")
         name = f"${self.counter}"
         self.counter += 1
         return name
@@ -60,7 +61,7 @@ class _Desugarer:
                 items = _flatten_sets(e)
                 return _balanced_union([self.lower(x, env, implicit) for x in items], e.span)
             case surface.EmptyCast(target=t):
-                ty = _CAST_TYPES.get(t, None)
+                ty = SCALAR_NAMES.get(t)
                 if ty is None:
                     return core.Empty(ty=ObjType(t, {}), span=e.span)
                 return core.Empty(ty=ty, span=e.span)

@@ -64,8 +64,8 @@ class IdAllocator:
         self.next_id = next_id
 
     @classmethod
-    def for_store(cls, store: Store, floor: int = 1) -> IdAllocator:
-        return cls(max(store.max_numeric_id() + 1, floor))
+    def for_store(cls, store: Store) -> IdAllocator:
+        return cls(store.max_numeric_id() + 1)
 
     def allocate(self) -> EntityId:
         out = str(self.next_id)

@@ -97,7 +97,6 @@ class Instance:
     expr: core.Expr
     ty: ComputedType
     card: Cardinality
-    mutations: bool
     config: GenConfig
 
 
@@ -124,12 +123,10 @@ def _min_depth(m: Cardinality) -> int:
 
 
 class _Gen:
-    def __init__(self, rng: random.Random, cfg: GenConfig, schema: Schema,
-                 store: Store, mutations: bool):
+    def __init__(self, rng: random.Random, cfg: GenConfig, schema: Schema, mutations: bool):
         self.rng = rng
         self.cfg = cfg
         self.schema = schema
-        self.store = store
         self.mutations = mutations
         self.counter = 0
         self.shape_nesting = 0  # bounded by cfg.max_depth
@@ -654,7 +651,7 @@ def gen_instance(cfg: GenConfig) -> Instance:
     schema = _gen_schema(rng, cfg)
     store = _gen_store(rng, cfg, schema)
     mutations = rng.random() < cfg.mutation_probability
-    gen = _Gen(rng, cfg, schema, store, mutations)
+    gen = _Gen(rng, cfg, schema, mutations)
 
     depth = cfg.max_expr_depth
     if depth == 1:
@@ -676,7 +673,7 @@ def gen_instance(cfg: GenConfig) -> Instance:
 
     ty, card = synth(schema, {}, expr)
     assert not check_schema(schema) and not check_store(schema, store)
-    return Instance(schema, store, expr, ty, card, mutations, cfg)
+    return Instance(schema, store, expr, ty, card, cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,12 @@ from dataclasses import dataclass
 
 from . import surface as s
 from .model import (
+    AT_LEAST_ONE,
+    AT_MOST_ONE,
+    MANY,
+    ONE,
     BoolVal,
+    Cardinality,
     IntVal,
     Label,
     LabelKind,
@@ -34,6 +39,18 @@ KEYWORDS = {
 
 SCALAR_NAMES = {"int": ScalarType.INT, "int64": ScalarType.INT,
                 "str": ScalarType.STR, "bool": ScalarType.BOOL}
+
+# (required, multi) flags of a schema member or link property -> its mode
+_FLAG_CARDS = {(False, False): AT_MOST_ONE, (True, False): ONE,
+               (False, True): MANY, (True, True): AT_LEAST_ONE}
+
+# How deep a query may nest. Each bracketed or keyword-introduced
+# subexpression counts one level, and so does each node that an operator,
+# postfix, filter or order-by loop wraps around the one before; the items of
+# a set literal, a union chain, a call's arguments and a shape's entries are
+# siblings and count once. The later stages recurse once per level, so this
+# keeps every accepted query inside Python's default recursion limit.
+MAX_DEPTH = 64
 
 _SYMBOLS = (":=", ".<", "??", "{", "}", "(", ")", "[", "]", ",", ";",
             ":", ".", "<", ">", "=", "+", "-", "@")
@@ -114,11 +131,11 @@ def tokenize(text: str) -> list[Token]:
 
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
         self.toks = tokenize(text)
         self.pos = 0
         self.scopes: list[str] = []       # explicit binder names in scope
         self.implicit_depth = 0           # nesting of implicit-subject contexts
+        self.depth = 0                    # nesting so far, bounded by MAX_DEPTH
 
     # -- token plumbing ------------------------------------------------------
 
@@ -148,6 +165,21 @@ class _Parser:
             return self.advance()
         return None
 
+    def nest(self, span: Span) -> None:
+        """Count one more level of nesting below the current one."""
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise ParseError(f"expression nested more than {MAX_DEPTH} levels deep", span)
+
+    def sibling(self, base: int, parse):
+        """Parse one of several siblings: each starts at the parent's depth
+        `base`, and the parent ends as deep as its deepest sibling."""
+        deepest = self.depth
+        self.depth = base
+        item = parse()
+        self.depth = max(deepest, self.depth)
+        return item
+
     # -- queries -------------------------------------------------------------
 
     def parse_query(self) -> s.SurfaceExpr:
@@ -159,11 +191,12 @@ class _Parser:
 
     def parse_expr(self) -> s.SurfaceExpr:
         start = self.peek().span[0]
+        base = self.depth
         e = self.parse_chain()
         if self.at("kw:union"):
             items = [e]
             while self.accept("kw:union"):
-                items.append(self.parse_chain())
+                items.append(self.sibling(base, self.parse_chain))
             return s.SetLit(items, span=(start, self.prev_end()))
         return e
 
@@ -171,16 +204,18 @@ class _Parser:
         return self.toks[self.pos - 1].span[1] if self.pos > 0 else 0
 
     def parse_chain(self) -> s.SurfaceExpr:
+        self.nest(self.peek().span)
         start = self.peek().span[0]
         e = self.parse_coalesce()
         while True:
-            if self.accept("kw:filter"):
+            if tok := self.accept("kw:filter"):
+                self.nest(tok.span)
                 self.implicit_depth += 1
                 cond = self.parse_coalesce()
                 self.implicit_depth -= 1
                 e = s.Filter(e, cond, span=(start, self.prev_end()))
             elif self.at("kw:order"):
-                self.advance()
+                self.nest(self.advance().span)
                 self.expect("kw:by", "'by'")
                 self.implicit_depth += 1
                 key = self.parse_coalesce()
@@ -192,7 +227,8 @@ class _Parser:
     def parse_coalesce(self) -> s.SurfaceExpr:
         start = self.peek().span[0]
         e = self.parse_comparison()
-        while self.accept("??"):
+        while tok := self.accept("??"):
+            self.nest(tok.span)
             rhs = self.parse_comparison()
             e = s.Call("coalesce", [e, rhs], span=(start, self.prev_end()))
         return e
@@ -200,10 +236,12 @@ class _Parser:
     def parse_comparison(self) -> s.SurfaceExpr:
         start = self.peek().span[0]
         e = self.parse_additive()
-        if self.accept("="):
+        if tok := self.accept("="):
+            self.nest(tok.span)
             rhs = self.parse_additive()
             return s.Call("eq", [e, rhs], span=(start, self.prev_end()))
-        if self.accept("<"):
+        if tok := self.accept("<"):
+            self.nest(tok.span)
             rhs = self.parse_additive()
             return s.Call("lt", [e, rhs], span=(start, self.prev_end()))
         return e
@@ -211,7 +249,8 @@ class _Parser:
     def parse_additive(self) -> s.SurfaceExpr:
         start = self.peek().span[0]
         e = self.parse_postfix()
-        while self.accept("+"):
+        while tok := self.accept("+"):
+            self.nest(tok.span)
             rhs = self.parse_postfix()
             e = s.Call("add", [e, rhs], span=(start, self.prev_end()))
         return e
@@ -221,11 +260,11 @@ class _Parser:
         e = self.parse_primary()
         while True:
             if self.at("."):
-                self.advance()
+                self.nest(self.advance().span)
                 lbl = self.parse_label()
                 e = s.Path(e, lbl, span=(start, self.prev_end()))
             elif self.at(".<"):
-                self.advance()
+                self.nest(self.advance().span)
                 name = self.expect("ident", "link label").text
                 self.expect("[", "'[is TypeName]'")
                 self.expect("kw:is", "'is'")
@@ -248,6 +287,8 @@ class _Parser:
         """`{ entry, ... }` where an entry is `l := e`, shorthand `l`
         (== `l := .l`), or nested `l: { ... }` (== `l := .l { ... }`)."""
         open_tok = self.expect("{")
+        self.nest(open_tok.span)
+        base = self.depth
         entries: list[tuple[Label, s.SurfaceExpr]] = []
         seen: set[Label] = set()
         self.implicit_depth += 1
@@ -258,14 +299,14 @@ class _Parser:
                 raise ParseError(f"duplicate shape label {lbl}", (lbl_start, self.prev_end()))
             seen.add(lbl)
             if self.accept(":="):
-                expr = self.parse_expr()
+                expr = self.sibling(base, self.parse_expr)
             elif self.at(":"):
                 if lbl.kind is not LabelKind.OBJECT:
                     raise ParseError("nested shape shorthand needs an object label",
                                      (lbl_start, self.prev_end()))
                 self.advance()
                 subject = s.Path(s.Var(s.IMPLICIT), lbl, span=(lbl_start, self.prev_end()))
-                nested = self.parse_shape_entries()
+                nested = self.sibling(base, self.parse_shape_entries)
                 expr = s.Shape(subject, nested, span=(lbl_start, self.prev_end()))
             else:
                 expr = s.Path(s.Var(s.IMPLICIT), lbl, span=(lbl_start, self.prev_end()))
@@ -279,6 +320,7 @@ class _Parser:
     def parse_assign_entries(self, what: str) -> list[tuple[Label, s.SurfaceExpr]]:
         """`{ l := e, ... }`: explicit assignments only (insert/update shapes)."""
         self.expect("{")
+        base = self.depth
         entries: list[tuple[Label, s.SurfaceExpr]] = []
         seen: set[Label] = set()
         while not self.at("}"):
@@ -288,7 +330,7 @@ class _Parser:
                 raise ParseError(f"duplicate {what} label {lbl}", (lbl_start, self.prev_end()))
             seen.add(lbl)
             self.expect(":=", f"':=' ({what} entries take explicit values)")
-            entries.append((lbl, self.parse_expr()))
+            entries.append((lbl, self.sibling(base, self.parse_expr)))
             if not self.accept(","):
                 break
         self.expect("}")
@@ -365,11 +407,12 @@ class _Parser:
             self.advance()
             if self.at("("):
                 self.advance()
+                base = self.depth
                 call_args: list[s.SurfaceExpr] = []
                 if not self.at(")"):
-                    call_args.append(self.parse_expr())
+                    call_args.append(self.sibling(base, self.parse_expr))
                     while self.accept(","):
-                        call_args.append(self.parse_expr())
+                        call_args.append(self.sibling(base, self.parse_expr))
                 self.expect(")")
                 return s.Call(tok.text, call_args, span=(start, self.prev_end()))
             if tok.text in self.scopes:
@@ -384,9 +427,10 @@ class _Parser:
             raise ParseError(
                 "empty set literal needs a type cast, e.g. <int>{}", open_tok.span
             )
-        items = [self.parse_expr()]
+        base = self.depth
+        items = [self.sibling(base, self.parse_expr)]
         while self.accept(","):
-            items.append(self.parse_expr())
+            items.append(self.sibling(base, self.parse_expr))
         self.expect("}")
         return s.SetLit(items, span=(start, self.prev_end()))
 
@@ -431,58 +475,71 @@ class _Parser:
 
     # -- schemas ---------------------------------------------------------
 
-    def parse_schema(self) -> list[s.SurfaceSchemaDecl]:
-        decls = []
+    def parse_schema(self) -> tuple[Schema, list[Diagnostic]]:
+        schema = Schema()
+        diags: list[Diagnostic] = []
         while not self.at("eof"):
-            decls.append(self.parse_type_decl())
-        return decls
+            self.expect("kw:type", "'type'")
+            name = self.expect("ident", "type name").text
+            self.expect("{")
+            labels: dict[Label, tuple] = {}
+            body_diags: list[Diagnostic] = []
+            while not self.at("}"):
+                self.parse_member(name, labels, body_diags)
+            self.expect("}")
+            self.accept(";")
+            # a repeated type is dropped whole, its own duplicates unreported
+            if name in schema.types:
+                diags.append(Diagnostic("DuplicateTypeName", name, "type declared more than once"))
+            else:
+                schema.types[name] = ObjectTypeDecl(labels)
+                diags.extend(body_diags)
+        return schema, diags
 
-    def parse_type_decl(self) -> s.SurfaceSchemaDecl:
-        self.expect("kw:type", "'type'")
-        name = self.expect("ident", "type name").text
-        self.expect("{")
-        members: list[s.SchemaMember] = []
-        while not self.at("}"):
-            members.append(self.parse_member())
-        self.expect("}")
-        self.accept(";")
-        return s.SurfaceSchemaDecl(name, members)
-
-    def _parse_flags(self) -> tuple[bool, bool]:
+    def parse_card(self) -> Cardinality:
         required = bool(self.accept("kw:required"))
         multi = bool(self.accept("kw:multi"))
-        return required, multi
+        return _FLAG_CARDS[required, multi]
 
-    def parse_member(self) -> s.SchemaMember:
-        required, multi = self._parse_flags()
-        name_tok = self.expect("ident", "label")
+    def parse_member(self, type_name: str, labels: dict[Label, tuple],
+                     diags: list[Diagnostic]) -> None:
+        card = self.parse_card()
+        lbl = olabel(self.expect("ident", "label").text)
+        path = f"{type_name}.{lbl}"
         self.expect(":", "':'")
         target_tok = self.expect("ident", "scalar type or type name")
-        link_props: list[s.SchemaLinkProp] = []
-        target: ScalarType | str
+        prop_diags: list[Diagnostic] = []
         if target_tok.text in SCALAR_NAMES:
-            target = SCALAR_NAMES[target_tok.text]
+            ty = SCALAR_NAMES[target_tok.text]
         else:
-            target = target_tok.text
-            if self.at("{"):
-                self.advance()
+            props: dict[Label, tuple] = {}
+            if self.accept("{"):
                 while not self.at("}"):
-                    link_props.append(self.parse_link_prop())
+                    self.parse_link_prop(path, props, prop_diags)
                 self.expect("}")
+            ty = StoredRefType(target_tok.text, tuple(props.items()))
         self.expect(";", "';'")
-        return s.SchemaMember(olabel(name_tok.text), required, multi, target, link_props)
+        if lbl in labels:
+            diags.append(Diagnostic("DuplicateLabel", path, "label declared more than once"))
+        else:
+            labels[lbl] = (ty, card)
+            diags.extend(prop_diags)
 
-    def parse_link_prop(self) -> s.SchemaLinkProp:
-        required, multi = self._parse_flags()
+    def parse_link_prop(self, member_path: str, props: dict[Label, tuple],
+                        diags: list[Diagnostic]) -> None:
+        card = self.parse_card()
         self.accept("@")
-        name = self.expect("ident", "link property name").text
+        lbl = llabel(self.expect("ident", "link property name").text)
         self.expect(":", "':'")
         ty_tok = self.expect("ident", "scalar type")
         if ty_tok.text not in SCALAR_NAMES:
             raise ParseError("link properties must have scalar types", ty_tok.span)
         self.expect(";", "';'")
-        return s.SchemaLinkProp(llabel(name), SCALAR_NAMES[ty_tok.text],
-                                s.mode_from_flags(required, multi))
+        if lbl in props:
+            diags.append(Diagnostic("DuplicateLabel", f"{member_path}.{lbl}",
+                                    "link property declared more than once"))
+        else:
+            props[lbl] = (SCALAR_NAMES[ty_tok.text], card)
 
 
 def parse_query(text: str) -> s.SurfaceExpr:
@@ -490,15 +547,16 @@ def parse_query(text: str) -> s.SurfaceExpr:
     return _Parser(text).parse_query()
 
 
-def parse_schema(text: str) -> list[s.SurfaceSchemaDecl]:
-    """Parse schema source into declarations, in source order."""
+def parse_schema(text: str) -> tuple[Schema, list[Diagnostic]]:
+    """Parse schema source into a Schema, reporting repeated type names,
+    labels and link properties. Well-formedness beyond duplicates is
+    check_schema's job."""
     return _Parser(text).parse_schema()
 
 
 def schema_to_source(schema: Schema) -> str:
     """Render a schema back to source text (parse_schema round-trips it).
     The empty mode has no concrete syntax and cannot be rendered."""
-    from .model import AT_LEAST_ONE, MANY, ONE, Cardinality
 
     def flags(card: Cardinality) -> str:
         if card == ONE:
@@ -527,42 +585,3 @@ def schema_to_source(schema: Schema) -> str:
                 lines.append(f"  {flags(card)}{lbl}: {ty};")
         lines.append("};")
     return "\n".join(lines) + "\n"
-
-
-def build_schema(decls: list[s.SurfaceSchemaDecl]) -> tuple[Schema, list[Diagnostic]]:
-    """Assemble a Schema from surface declarations, reporting duplicate names.
-    Well-formedness beyond duplicates is check_schema's job."""
-    diags: list[Diagnostic] = []
-    schema = Schema()
-    for decl in decls:
-        if decl.name in schema.types:
-            diags.append(Diagnostic("DuplicateTypeName", decl.name, "type declared more than once"))
-            continue
-        labels: dict[Label, tuple] = {}
-        for member in decl.members:
-            if member.label in labels:
-                diags.append(
-                    Diagnostic("DuplicateLabel", f"{decl.name}.{member.label}", "label declared more than once")
-                )
-                continue
-            if isinstance(member.target, ScalarType):
-                ty = member.target
-            else:
-                props = []
-                seen = set()
-                for lp in member.link_props:
-                    if lp.label in seen:
-                        diags.append(
-                            Diagnostic(
-                                "DuplicateLabel",
-                                f"{decl.name}.{member.label}.{lp.label}",
-                                "link property declared more than once",
-                            )
-                        )
-                        continue
-                    seen.add(lp.label)
-                    props.append((lp.label, (lp.scalar, lp.card)))
-                ty = StoredRefType(member.target, tuple(props))
-            labels[member.label] = (ty, member.card)
-        schema.types[decl.name] = ObjectTypeDecl(labels)
-    return schema, diags

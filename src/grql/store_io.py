@@ -27,7 +27,7 @@ from .model import (
     label_for,
     llabel,
 )
-from .parser import build_schema, parse_schema
+from .parser import parse_schema
 from .surface import ParseError
 from .wellformed import Diagnostic, check_schema, check_store
 
@@ -85,7 +85,6 @@ def _cell_to_value(cell, path: str, diags: list[Diagnostic]):
 def load_snapshot(text: str) -> LoadedSnapshot:
     """Parse and validate a snapshot; raises SnapshotError carrying every
     diagnostic found."""
-    diags: list[Diagnostic] = []
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -97,11 +96,9 @@ def load_snapshot(text: str) -> LoadedSnapshot:
     if not isinstance(schema_text, str):
         raise SnapshotError([Diagnostic("BadSnapshot", "schema", "schema must be source text")])
     try:
-        decls = parse_schema(schema_text)
+        schema, diags = parse_schema(schema_text)
     except ParseError as exc:
         raise SnapshotError([Diagnostic("SchemaParseError", "-", str(exc))]) from None
-    schema, build_diags = build_schema(decls)
-    diags.extend(build_diags)
     diags.extend(check_schema(schema))
 
     entities = doc.get("entities", [])

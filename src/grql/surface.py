@@ -10,19 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .model import (
-    BoolVal,
-    Cardinality,
-    IntVal,
-    Label,
-    ScalarType,
-    ScalarValue,
-    StrVal,
-    AT_LEAST_ONE,
-    AT_MOST_ONE,
-    MANY,
-    ONE,
-)
+from .model import BoolVal, IntVal, Label, ScalarValue, StrVal
 
 Span = tuple[int, int]
 
@@ -149,45 +137,6 @@ class Insert(SurfaceExpr):
 class Update(SurfaceExpr):
     subject: SurfaceExpr
     entries: list[tuple[Label, SurfaceExpr]]
-
-
-# ---------------------------------------------------------------------------
-# Surface schema declarations
-
-@dataclass
-class SchemaLinkProp:
-    label: Label
-    scalar: ScalarType
-    card: Cardinality
-
-
-@dataclass
-class SchemaMember:
-    label: Label
-    required: bool
-    multi: bool
-    target: ScalarType | str  # scalar type, or a type name for links
-    link_props: list[SchemaLinkProp]
-
-    @property
-    def card(self) -> Cardinality:
-        return mode_from_flags(self.required, self.multi)
-
-
-@dataclass
-class SurfaceSchemaDecl:
-    name: str
-    members: list[SchemaMember]
-
-
-def mode_from_flags(required: bool, multi: bool) -> Cardinality:
-    if required and multi:
-        return AT_LEAST_ONE
-    if required:
-        return ONE
-    if multi:
-        return MANY
-    return AT_MOST_ONE
 
 
 # ---------------------------------------------------------------------------

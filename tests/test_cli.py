@@ -9,6 +9,7 @@ import sys
 
 import pytest
 
+from grql import cli
 from grql.cli import main
 from grql.store_io import seed_snapshot_text
 
@@ -65,6 +66,27 @@ def test_run_with_commit_persists(store_file, capsys):
     doc = json.loads(store_file.read_text())
     assert any(e["id"] == "12" for e in doc["entities"])
     assert doc["nextId"] == 13
+
+
+def test_failed_snapshot_write_keeps_the_old_bytes(store_file, monkeypatch):
+    before = store_file.read_bytes()
+
+    def fail(fd):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli.os, "fsync", fail)
+    with pytest.raises(OSError, match="disk full"):
+        cli._write_snapshot(str(store_file), seed_snapshot_text().replace("Transistors", "X"))
+    assert store_file.read_bytes() == before
+    assert sorted(p.name for p in store_file.parent.iterdir()) == [
+        "movies.grdb.json", "movies.grdb.json.lock"]
+
+
+def test_snapshot_write_replaces_the_file_and_keeps_its_mode(store_file):
+    store_file.chmod(0o640)
+    cli._write_snapshot(str(store_file), "new text\n")
+    assert store_file.read_text(encoding="utf-8") == "new text\n"
+    assert store_file.stat().st_mode & 0o777 == 0o640
 
 
 def test_run_insert_output_is_id_object(store_file, capsys):
@@ -127,6 +149,44 @@ def test_check_ok_and_failures(store_file, tmp_path, capsys):
     good_schema = tmp_path / "good.gel"
     good_schema.write_text("type Person { name: str; };", encoding="utf-8")
     assert main(["check", str(good_schema)]) == 0
+
+
+DUPLICATE_TYPE_SCHEMA = ("type T { a: str; };\n"
+                         "type U { b: T; };\n"
+                         "type T { x: int; x: str; };\n")
+DUPLICATE_PROP_SCHEMA = ("type U { n: str; };\n"
+                         "type T { l: U { p: str; p: int; q: int; }; };\n")
+
+
+def test_check_duplicate_type_drops_the_whole_second_body(tmp_path, capsys):
+    path = tmp_path / "dup.gel"
+    path.write_text(DUPLICATE_TYPE_SCHEMA, encoding="utf-8")
+    assert main(["check", str(path)]) == 2
+    # the second `type T` is dropped whole: its repeated `x` is not reported
+    assert capsys.readouterr().err == "DuplicateTypeName T type declared more than once\n"
+
+
+def test_check_duplicate_link_property(tmp_path, capsys):
+    path = tmp_path / "dup.gel"
+    path.write_text(DUPLICATE_PROP_SCHEMA, encoding="utf-8")
+    assert main(["check", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "DuplicateLabel T.l.@p link property declared more than once\n")
+
+
+def test_check_schema_diagnostics_in_source_order(tmp_path, capsys):
+    path = tmp_path / "dup.gel"
+    path.write_text("type T { x: str; x: int64; };\n"
+                    "type T { y: str; y: str; };\n"
+                    "type V { l: Nope { p: str; p: str; }; l: str; };\n", encoding="utf-8")
+    assert main(["check", str(path)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "DuplicateLabel T.x label declared more than once",
+        "DuplicateTypeName T type declared more than once",
+        "DuplicateLabel V.l.@p link property declared more than once",
+        "DuplicateLabel V.l label declared more than once",
+        "UndefinedTypeName V.l link target 'Nope' is not declared",
+    ]
 
 
 def test_check_query_prints_type(store_file, capsys):
@@ -308,3 +368,60 @@ def test_session_clears_edit_marks_between_queries():
     result, _, _ = session.run_query('update Person filter .name = "N" set { age := 2 }')
     assert [w.id for w in result] == [new.id]
     assert session.store.tuples[new.id].record[olabel("age")] == [IntVal(2)]
+
+
+def _eq_chain(d):
+    k = (d - 1) // 2
+    return "select " * (d % 2 == 0) + "true = (" * k + "true" + ")" * k
+
+
+_TRANSISTORS = '(Movie filter .title = "Transistors")'  # depth 4, one movie
+
+# Each form, as a query nested exactly `d` levels deep.
+NESTED_FORMS = {
+    "parens": lambda d: "(" * (d - 1) + "1" + ")" * (d - 1),
+    "set braces": lambda d: "{" * (d - 1) + "1" + "}" * (d - 1),
+    "call": lambda d: "not(" * (d - 1) + "true" + ")" * (d - 1),
+    "plus": lambda d: " + ".join(["1"] * d),
+    "coalesce": lambda d: " ?? ".join(["1"] * d),
+    "comparison": _eq_chain,
+    "path and backlink": lambda d: _TRANSISTORS + "".join(
+        ".directors" if i % 2 == 0 else ".<directors[is Movie]" for i in range(d - 4)),
+    "shape": lambda d: "Movie" + " { title }" * (d - 1),
+    "filter": lambda d: "Movie" + " filter true" * (d - 1),
+    "order by": lambda d: "Movie" + " order by .year" * (d - 1),
+}
+
+
+@pytest.mark.parametrize("form", NESTED_FORMS)
+def test_nesting_bound(store_file, capsys, form):
+    from grql.parser import MAX_DEPTH
+
+    assert main(["run", str(store_file), NESTED_FORMS[form](MAX_DEPTH)]) == 0
+    assert capsys.readouterr().err == ""
+    assert main(["run", str(store_file), NESTED_FORMS[form](MAX_DEPTH + 1)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: expression nested more than {MAX_DEPTH} levels deep")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("query", [
+    "(" * 1000 + "1" + ")" * 1000,
+    " + ".join(["1"] * 3000),
+])
+def test_deep_queries_are_parse_errors(store_file, capsys, query):
+    assert main(["run", str(store_file), query]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: expression nested more than") and err.count("\n") == 1
+
+
+def test_right_nested_coalesce_stops_at_the_size_bound(store_file, capsys):
+    import time
+
+    query = "1 ?? (" * 20 + "1" + ")" * 20
+    start = time.perf_counter()
+    assert main(["run", str(store_file), query]) == 1
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("error: QueryTooLarge: query lowers to more than")
+    assert err.count("\n") == 1

@@ -199,6 +199,18 @@ def test_arity_mismatch():
     assert err.value.code == "ArityMismatch"
 
 
+def test_right_nested_coalesce_past_the_binder_bound():
+    from grql.desugar import MAX_BINDERS
+
+    # each level lowers the rest twice, so the output doubles per level
+    with pytest.raises(DesugarError) as err:
+        lower("1 ?? (" * 20 + "1" + ")" * 20)
+    assert err.value.code == "QueryTooLarge"
+    assert str(MAX_BINDERS) in err.value.message
+    # a left-nested chain lowers each operand once and stays small
+    assert len(core.binders(lower(" ?? ".join(["<int>{}"] * 60 + ["1"])))) < 1000
+
+
 def test_empty_cast_annotations():
     from grql.model import ObjType
 

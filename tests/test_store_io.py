@@ -111,6 +111,21 @@ def test_schema_errors_reported():
     assert any(d.code == "UndefinedTypeName" for d in err.value.diagnostics)
 
 
+def test_schema_duplicates_reported_in_source_order():
+    schema = ("type T { x: str; x: int64; };\n"
+              "type T { y: str; y: str; };\n"
+              "type U { n: str; };\n"
+              "type V { l: U { p: str; p: str; }; };\n")
+    bad = {"v": 1, "schema": schema, "entities": [], "nextId": 1}
+    with pytest.raises(SnapshotError) as err:
+        load_snapshot(json.dumps(bad))
+    assert [(d.code, d.path) for d in err.value.diagnostics] == [
+        ("DuplicateLabel", "T.x"),
+        ("DuplicateTypeName", "T"),
+        ("DuplicateLabel", "V.l.@p"),
+    ]
+
+
 def test_boolean_cells_not_confused_with_ints():
     doc = {
         "v": 1,

@@ -16,7 +16,7 @@ from grql.model import (
     llabel,
     olabel,
 )
-from grql.parser import build_schema, parse_query, parse_schema, schema_to_source
+from grql.parser import parse_query, parse_schema, schema_to_source
 from grql.surface import ParseError, format_expr
 
 SCHEMA_TEXT = """\
@@ -30,26 +30,29 @@ type Movie {
 
 
 def test_parse_running_schema():
-    decls = parse_schema(SCHEMA_TEXT)
-    assert [d.name for d in decls] == ["Person", "Movie"]
-    person, movie = decls
-    assert len(person.members) == 3
-    assert len(movie.members) == 4
-    modes = {str(m.label): m.card for m in movie.members}
+    schema, diags = parse_schema(SCHEMA_TEXT)
+    assert diags == []
+    assert list(schema.types) == ["Person", "Movie"]
+    person, movie = schema.types["Person"], schema.types["Movie"]
+    assert len(person.labels) == 3
+    assert len(movie.labels) == 4
+    modes = {str(lbl): card for lbl, (_, card) in movie.labels.items()}
     assert modes["title"] == ONE
     assert modes["directors"] == AT_LEAST_ONE
     assert modes["actors"] == MANY
-    actors = movie.members[3]
+    actors, _ = movie.labels[olabel("actors")]
+    assert actors.target == "Person"
     assert len(actors.link_props) == 1
-    prop = actors.link_props[0]
-    assert prop.label == llabel("character")
-    assert prop.scalar is ScalarType.STR
-    assert prop.card == AT_MOST_ONE  # the unannotated default
+    prop_label, (prop_scalar, prop_card) = actors.link_props[0]
+    assert prop_label == llabel("character")
+    assert prop_scalar is ScalarType.STR
+    assert prop_card == AT_MOST_ONE  # the unannotated default
 
 
 def test_parse_empty_type_body():
-    decls = parse_schema("type T { }")
-    assert len(decls) == 1 and decls[0].members == []
+    schema, diags = parse_schema("type T { }")
+    assert diags == []
+    assert list(schema.types) == ["T"] and schema.types["T"].labels == {}
 
 
 def test_parse_schema_missing_type_is_error():
@@ -58,17 +61,35 @@ def test_parse_schema_missing_type_is_error():
 
 
 def test_schema_round_trips_through_printer():
-    schema, diags = build_schema(parse_schema(SCHEMA_TEXT))
+    schema, diags = parse_schema(SCHEMA_TEXT)
     assert diags == []
     text = schema_to_source(schema)
-    again, diags2 = build_schema(parse_schema(text))
+    again, diags2 = parse_schema(text)
     assert diags2 == []
     assert again == schema
 
 
 def test_duplicate_label_reported():
-    _, diags = build_schema(parse_schema("type T { x: str; x: int64; };"))
+    _, diags = parse_schema("type T { x: str; x: int64; };")
     assert any(d.code == "DuplicateLabel" for d in diags)
+
+
+def test_duplicate_type_dropped_whole():
+    schema, diags = parse_schema("type T { a: str; };\n"
+                                 "type T { x: int; x: str; };")
+    # the second body is dropped, and its own repeated label is not reported
+    assert list(schema.types["T"].labels) == [olabel("a")]
+    assert [str(d) for d in diags] == ["DuplicateTypeName T type declared more than once"]
+
+
+def test_duplicate_link_property_reported():
+    schema, diags = parse_schema("type U { n: str; };\n"
+                                 "type T { l: U { p: str; p: int; q: int; }; };")
+    ty, _ = schema.types["T"].labels[olabel("l")]
+    assert [lbl for lbl, _ in ty.link_props] == [llabel("p"), llabel("q")]
+    assert ty.link_props[0][1][0] is ScalarType.STR  # the first declaration wins
+    assert [str(d) for d in diags] == [
+        "DuplicateLabel T.l.@p link property declared more than once"]
 
 
 def test_select_shape_shorthand():
