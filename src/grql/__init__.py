@@ -4,9 +4,11 @@ metatheory fuzz harness for a graph-relational query calculus.
 The typical pipeline is parse_query -> desugar -> synth -> evaluate ->
 serialize; load_snapshot/save_snapshot move schema+store pairs in and out of
 `.grdb.json` files, and load_seed returns the bundled example database.
+The functions `desugar` and `serialize` are not re-exported, so that
+`grql.desugar` and `grql.serialize` name their submodules.
 """
 
-from .desugar import DesugarError, desugar
+from .desugar import DesugarError
 from .evaluator import EvalConfig, EvalFault, EvalOutcome, IdAllocator, evaluate
 from .model import (
     AT_LEAST_ONE,
@@ -24,7 +26,7 @@ from .model import (
     seq_perm_eq,
 )
 from .parser import parse_query, parse_schema
-from .serialize import debug_print, serialize, to_json_text
+from .serialize import debug_print, to_json_text
 from .store_io import (
     LoadedSnapshot,
     SnapshotError,
@@ -41,10 +43,10 @@ __all__ = [
     "EMPTY", "AT_MOST_ONE", "MANY", "ONE", "AT_LEAST_ONE",
     "card_le", "card_add", "card_mul", "card_if_join", "seq_perm_eq",
     "parse_query", "parse_schema", "format_expr", "ParseError",
-    "desugar", "DesugarError",
+    "DesugarError",
     "synth", "TypeCheckError",
     "evaluate", "EvalConfig", "EvalOutcome", "EvalFault", "IdAllocator",
-    "serialize", "to_json_text", "debug_print",
+    "to_json_text", "debug_print",
     "load_snapshot", "save_snapshot", "load_seed", "LoadedSnapshot", "SnapshotError",
     "check_schema", "check_store", "store_extends", "Diagnostic",
 ]

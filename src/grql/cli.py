@@ -67,7 +67,7 @@ class Session:
         allocator = IdAllocator(self.next_id)
         config = EvalConfig(permutation_seed=self.seed, dedup_projections=self.dedup,
                             id_allocator=allocator)
-        outcome = evaluate(self.schema, config, {}, self.store, self.store, expr)
+        outcome = evaluate(self.schema, config, {}, self.store, expr)
         self.store = outcome.store_after.unlock_all()
         self.next_id = allocator.next_id
         return outcome.result, ty, card

@@ -372,11 +372,12 @@ def evaluate(
     schema: Schema,
     config: EvalConfig,
     env: Environment,
-    init_store: Store,
-    cur_store: Store,
+    store: Store,
     e: core.Expr,
 ) -> EvalOutcome:
-    """Evaluate a core expression; raises EvalFault on the (statically
-    unreachable) stuck cases and on built-in domain errors."""
-    result, after = Evaluator(schema, config, init_store).run(env, cur_store, e)
+    """Evaluate a core expression against `store`, which is both the initial
+    store that reads see and the store that writes start from; raises
+    EvalFault on the (statically unreachable) stuck cases and on built-in
+    domain errors."""
+    result, after = Evaluator(schema, config, store).run(env, store, e)
     return EvalOutcome(result, after)

@@ -48,7 +48,6 @@ from .model import (
     card_le,
     card_mul,
     llabel,
-    olabel,
 )
 from .parser import schema_to_source
 from .store_io import save_snapshot
@@ -425,7 +424,7 @@ class _Gen:
             if self.rng.random() < 0.5 and decl and decl.labels:
                 lbl = self.pick(list(decl.labels))
             else:
-                lbl = olabel(self.pick(("w1", "w2", "w3")))
+                lbl = self.pick(("w1", "w2", "w3"))
             if lbl in used:
                 continue
             used.add(lbl)
@@ -584,7 +583,7 @@ def _gen_schema(rng: random.Random, cfg: GenConfig) -> Schema:
     for tname in names:
         labels: dict[Label, tuple] = {}
         for j in range(rng.randint(1, cfg.max_labels)):
-            lbl = olabel(f"{rng.choice(_WORDS)}{j}")
+            lbl = f"{rng.choice(_WORDS)}{j}"
             if lbl in labels:
                 continue
             card = rng.choice(_SCHEMA_MODES)
@@ -688,8 +687,8 @@ def _fp_seq(vals: ValueSeq, store: Store, base, stack) -> str:
 def _fp_value(v, store: Store, base, stack) -> str:
     if isinstance(v, ObjVal):
         entries = ",".join(
-            f"{lbl.name}{'+' if e.visible else '-'}{_fp_seq(e.values, store, base, stack)}"
-            for lbl, e in sorted(v.shape.items(), key=lambda kv: kv[0].name)
+            f"{lbl}{'+' if e.visible else '-'}{_fp_seq(e.values, store, base, stack)}"
+            for lbl, e in sorted(v.shape.items())
         )
         return f"obj({_fp_id(v.id, store, base, stack)}|{entries})"
     return _fp_scalar(v)
@@ -713,8 +712,8 @@ def _fp_id(id: str, store: Store, base: set[str], stack: tuple) -> str:
         return "ghost"
     inner = stack + (id,)
     record = ",".join(
-        f"{lbl.name}=" + "[" + ",".join(sorted(_fp_cell(c, store, base, inner) for c in seq)) + "]"
-        for lbl, seq in sorted(tup.record.items(), key=lambda kv: kv[0].name)
+        f"{lbl}=" + "[" + ",".join(sorted(_fp_cell(c, store, base, inner) for c in seq)) + "]"
+        for lbl, seq in sorted(tup.record.items())
     )
     return f"new:{tup.type_name}:({record})"
 
@@ -722,8 +721,8 @@ def _fp_id(id: str, store: Store, base: set[str], stack: tuple) -> str:
 def _fp_cell(c, store: Store, base, stack) -> str:
     if isinstance(c, StoredRef):
         props = ",".join(
-            f"{lbl.name}=[{','.join(sorted(_fp_scalar(x) for x in seq))}]"
-            for lbl, seq in sorted(c.link_props.items(), key=lambda kv: kv[0].name)
+            f"{lbl}=[{','.join(sorted(_fp_scalar(x) for x in seq))}]"
+            for lbl, seq in sorted(c.link_props.items())
         )
         return f"ref({_fp_id(c.id, store, base, stack)}|{props})"
     return _fp_scalar(c)

@@ -77,55 +77,31 @@ def card_if_join(a: Cardinality, b: Cardinality) -> Cardinality:
     return Cardinality(min(a.lo, b.lo), max(a.hi, b.hi))
 
 
-class LabelKind(enum.Enum):
-    OBJECT = "object"
-    LINK_PROP = "link_prop"
-
-
-@dataclass(frozen=True)
-class Label:
-    """A record label. Link-property labels carry the '@' prefix in their name;
-    object labels never do."""
-
-    name: str
-    kind: LabelKind
-
-    def __post_init__(self) -> None:
-        if not self.name:
-            raise ValueError("empty label name")
-        if self.kind is LabelKind.LINK_PROP and not self.name.startswith("@"):
-            raise ValueError(f"link property label {self.name!r} must start with '@'")
-        if self.kind is LabelKind.OBJECT and self.name.startswith("@"):
-            raise ValueError(f"object label {self.name!r} must not start with '@'")
-
-    @property
-    def bare(self) -> str:
-        """Label name without the '@' prefix (the underlying partition key)."""
-        return self.name[1:] if self.name.startswith("@") else self.name
-
-    def __str__(self) -> str:
-        return self.name
+# Labels, type names and entity ids are plain strings. A link-property label
+# carries the '@' prefix (`llabel` adds it, `is_link_prop` reads it); an
+# object label never does. Ids are decimal-counter strings allocated
+# monotonically per store, unique across the whole store.
+Label = str
+TypeName = str
+EntityId = str
 
 
 def olabel(name: str) -> Label:
-    return Label(name, LabelKind.OBJECT)
+    """An object label: the name itself."""
+    return name
 
 
 def llabel(name: str) -> Label:
-    if not name.startswith("@"):
-        name = "@" + name
-    return Label(name, LabelKind.LINK_PROP)
+    return name if is_link_prop(name) else "@" + name
 
 
-def label_for(name: str) -> Label:
-    """Classify a surface label name by its '@' prefix."""
-    return llabel(name) if name.startswith("@") else olabel(name)
+def is_link_prop(lbl: Label) -> bool:
+    return lbl.startswith("@")
 
 
-# Type names and entity ids are plain strings; ids are decimal-counter strings
-# allocated monotonically per store, unique across the whole store.
-TypeName = str
-EntityId = str
+def bare(lbl: Label) -> str:
+    """The label without its '@' prefix: the name both kinds share."""
+    return lbl[1:] if is_link_prop(lbl) else lbl
 
 
 class ScalarType(enum.Enum):
@@ -188,7 +164,7 @@ class StoredRefType:
     def __post_init__(self) -> None:
         seen = set()
         for lbl, _ in self.link_props:
-            if lbl.kind is not LabelKind.LINK_PROP:
+            if not is_link_prop(lbl):
                 raise ValueError(f"link property label expected, got {lbl}")
             if lbl in seen:
                 raise ValueError(f"duplicate link property {lbl}")

@@ -19,14 +19,14 @@ from .model import (
     Cardinality,
     IntVal,
     Label,
-    LabelKind,
     ObjectTypeDecl,
     ScalarType,
     Schema,
     StoredRefType,
     StrVal,
+    bare,
+    is_link_prop,
     llabel,
-    olabel,
 )
 from .surface import ParseError, Span
 from .wellformed import Diagnostic
@@ -270,7 +270,7 @@ class _Parser:
                 self.expect("kw:is", "'is'")
                 tname = self.expect("ident", "type name").text
                 self.expect("]", "']'")
-                e = s.Backlink(e, olabel(name), tname, span=(start, self.prev_end()))
+                e = s.Backlink(e, name, tname, span=(start, self.prev_end()))
             elif self.at("{"):
                 entries = self.parse_shape_entries()
                 e = s.Shape(e, entries, span=(start, self.prev_end()))
@@ -281,7 +281,7 @@ class _Parser:
         if self.accept("@"):
             name = self.expect("ident", "link property name").text
             return llabel(name)
-        return olabel(self.expect("ident", "label").text)
+        return self.expect("ident", "label").text
 
     def parse_shape_entries(self) -> list[tuple[Label, s.SurfaceExpr]]:
         """`{ entry, ... }` where an entry is `l := e`, shorthand `l`
@@ -301,7 +301,7 @@ class _Parser:
             if self.accept(":="):
                 expr = self.sibling(base, self.parse_expr)
             elif self.at(":"):
-                if lbl.kind is not LabelKind.OBJECT:
+                if is_link_prop(lbl):
                     raise ParseError("nested shape shorthand needs an object label",
                                      (lbl_start, self.prev_end()))
                 self.advance()
@@ -504,7 +504,7 @@ class _Parser:
     def parse_member(self, type_name: str, labels: dict[Label, tuple],
                      diags: list[Diagnostic]) -> None:
         card = self.parse_card()
-        lbl = olabel(self.expect("ident", "label").text)
+        lbl = self.expect("ident", "label").text
         path = f"{type_name}.{lbl}"
         self.expect(":", "':'")
         target_tok = self.expect("ident", "scalar type or type name")
@@ -576,7 +576,7 @@ def schema_to_source(schema: Schema) -> str:
             if isinstance(ty, StoredRefType):
                 if ty.link_props:
                     props = " ".join(
-                        f"{flags(pc)}{plbl.bare}: {pt};" for plbl, (pt, pc) in ty.link_props
+                        f"{flags(pc)}{bare(plbl)}: {pt};" for plbl, (pt, pc) in ty.link_props
                     )
                     lines.append(f"  {flags(card)}{lbl}: {ty.target} {{ {props} }};")
                 else:

@@ -62,7 +62,7 @@ def serialize_one(w: ComputedValue, ty: ComputedType) -> JsonValue:
                 if lbl not in ty.entries:
                     raise SerializeMismatch(f"visible entry {lbl} missing from type")
                 ety, ecard = ty.entries[lbl]
-                out[lbl.name] = serialize(entry.values, ety, ecard)
+                out[lbl] = serialize(entry.values, ety, ecard)
             if not out:
                 return {"id": id}
             return out

@@ -24,7 +24,6 @@ from .model import (
     StoreTuple,
     StoredRef,
     StrVal,
-    label_for,
     llabel,
 )
 from .parser import parse_schema
@@ -76,7 +75,11 @@ def _cell_to_value(cell, path: str, diags: list[Diagnostic]):
                     diags.append(Diagnostic("BadCell", f"{path}.{key}", "link properties hold scalars"))
                 elif v is not None:
                     vals.append(v)
-            props[llabel(key)] = vals
+            lbl = llabel(key)
+            if lbl in props:
+                diags.append(Diagnostic("BadCell", f"{path}.{lbl}", "link property given twice"))
+                continue
+            props[lbl] = vals
         return StoredRef(str(cell["ref"]), props)
     diags.append(Diagnostic("BadCell", path, f"unrecognized cell {cell!r}"))
     return None
@@ -129,7 +132,7 @@ def load_snapshot(text: str) -> LoadedSnapshot:
                 v = _cell_to_value(cell, path, diags)
                 if v is not None:
                     seq.append(v)
-            record[label_for(key)] = seq
+            record[key] = seq
         store.tuples[id] = StoreTuple(str(ent["type"]), record)
 
     if not diags:
@@ -154,7 +157,7 @@ def _value_to_cell(v):
         case StoredRef(id=id, link_props=props):
             cell: dict = {"ref": id}
             if props:
-                cell["props"] = {lbl.name: [_value_to_cell(x) for x in seq]
+                cell["props"] = {lbl: [_value_to_cell(x) for x in seq]
                                  for lbl, seq in props.items()}
             return cell
     raise TypeError(f"not a stored value: {v!r}")
@@ -166,7 +169,7 @@ def save_snapshot(schema_text: str, store: Store, next_id: int) -> str:
         {
             "id": id,
             "type": tup.type_name,
-            "fields": {lbl.name: [_value_to_cell(v) for v in seq]
+            "fields": {lbl: [_value_to_cell(v) for v in seq]
                        for lbl, seq in tup.record.items()},
         }
         for id, tup in store.tuples.items()

@@ -15,7 +15,6 @@ from .model import (
     Cardinality,
     ComputedType,
     Label,
-    LabelKind,
     MANY,
     ONE,
     ObjType,
@@ -27,6 +26,7 @@ from .model import (
     card_if_join,
     card_le,
     card_mul,
+    is_link_prop,
     scalar_type_of,
     stored_to_computed_type,
 )
@@ -220,9 +220,9 @@ def synth(schema: Schema, ctx: Context, e: core.Expr) -> tuple[ComputedType, Car
                 raise TypeCheckError("UnknownName", f"unknown type {n!r}", e.span)
             provided = {lbl for lbl, _ in shape}
             for lbl in provided:
-                if lbl.kind is not LabelKind.OBJECT or lbl not in decl.labels:
+                if is_link_prop(lbl) or lbl not in decl.labels:
                     raise TypeCheckError("NoSuchLabel", f"{n} has no label {lbl}", e.span)
-            missing = [str(lbl) for lbl in decl.labels if lbl not in provided]
+            missing = [lbl for lbl in decl.labels if lbl not in provided]
             if missing:
                 raise TypeCheckError(
                     "StoreTypeMismatch",
@@ -250,7 +250,7 @@ def synth(schema: Schema, ctx: Context, e: core.Expr) -> tuple[ComputedType, Car
             inner = {**ctx, x: (tsubj, ONE)}
             entries = {}
             for lbl, expr in shape:
-                if lbl.kind is not LabelKind.OBJECT or lbl not in decl.labels:
+                if is_link_prop(lbl) or lbl not in decl.labels:
                     raise TypeCheckError("NoSuchLabel", f"{tsubj.target} has no label {lbl}", e.span)
                 sty, scard = decl.labels[lbl]
                 ety = check_against_stored(schema, inner, expr, sty, scard)

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from .model import (
     Cardinality,
     ComputedType,
-    LabelKind,
     ObjVal,
     ScalarType,
     Schema,
@@ -23,6 +22,8 @@ from .model import (
     StoredType,
     StoredValueSeq,
     ValueSeq,
+    bare,
+    is_link_prop,
     scalar_type_of,
 )
 
@@ -48,11 +49,11 @@ def check_schema(schema: Schema) -> list[Diagnostic]:
     for tname, decl in schema.types.items():
         for lbl, (ty, _card) in decl.labels.items():
             path = f"{tname}.{lbl}"
-            if lbl.kind is not LabelKind.OBJECT:
+            if is_link_prop(lbl):
                 diags.append(
                     Diagnostic("LabelKindClash", path, "top-level label must be an object label")
                 )
-            object_names.setdefault(lbl.bare, path)
+            object_names.setdefault(bare(lbl), path)
             if isinstance(ty, StoredRefType):
                 if ty.target not in schema.types:
                     diags.append(
@@ -60,19 +61,19 @@ def check_schema(schema: Schema) -> list[Diagnostic]:
                     )
                 for plbl, _ in ty.link_props:
                     ppath = f"{path}.{plbl}"
-                    if plbl.kind is not LabelKind.LINK_PROP:
+                    if not is_link_prop(plbl):
                         diags.append(
                             Diagnostic("LabelKindClash", ppath, "link property label expected")
                         )
-                    link_prop_names.setdefault(plbl.bare, ppath)
+                    link_prop_names.setdefault(bare(plbl), ppath)
 
-    for bare, path in link_prop_names.items():
-        if bare in object_names:
+    for name, path in link_prop_names.items():
+        if name in object_names:
             diags.append(
                 Diagnostic(
                     "LabelKindClash",
                     path,
-                    f"label {bare!r} is used both as an object label ({object_names[bare]}) "
+                    f"label {name!r} is used both as an object label ({object_names[name]}) "
                     "and as a link property",
                 )
             )

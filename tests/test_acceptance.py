@@ -38,7 +38,7 @@ def _run(snap, text, seed=None, dedup=False):
     ty, card = synth(snap.schema, {}, expr)
     cfg = EvalConfig(permutation_seed=seed, dedup_projections=dedup,
                      id_allocator=IdAllocator(snap.next_id))
-    out = evaluate(snap.schema, cfg, {}, snap.store, snap.store, expr)
+    out = evaluate(snap.schema, cfg, {}, snap.store, expr)
     return out, ty, card
 
 

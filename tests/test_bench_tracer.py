@@ -32,3 +32,13 @@ def test_tracer_wraps_every_listed_name_and_restores_it():
     after = [_current(module, attr) for module, attr in names]
     assert all(d is not b for d, b in zip(during, before))
     assert all(a is b for a, b in zip(after, before))
+
+
+def test_benchmark_workloads_import_and_check_a_saved_store(monkeypatch):
+    # workloads.py imports grql.model.olabel and indexes loaded records with
+    # it; a label change that breaks the benchmark must fail here too
+    monkeypatch.syspath_prepend(str(TRACER_PATH.parent))
+    gen = importlib.import_module("gen")
+    workloads = importlib.import_module("workloads")
+    model = gen.generate(1, 60)[0]
+    assert workloads.final_state_problems(model.snapshot_text(), model) == []

@@ -115,6 +115,14 @@ def test_malformed_snapshot_shape_exits_2_with_a_diagnostic(store_file, capsys):
     assert capsys.readouterr().err == "BadSnapshot #1 fields must be an object\n"
 
 
+def test_empty_field_name_exits_2_with_a_diagnostic(store_file, capsys):
+    doc = json.loads(store_file.read_text())
+    doc["entities"][0]["fields"][""] = [1]
+    store_file.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["run", str(store_file), "count(Movie)"]) == 2
+    assert capsys.readouterr().err == "ExtraLabel #1. label not declared in schema\n"
+
+
 def test_seed_flag_changes_order_but_not_multiset(store_file, capsys):
     main(["run", str(store_file), "Movie.title"])
     base = json.loads(capsys.readouterr().out)

@@ -48,7 +48,7 @@ def run(snap, text, seed=None, dedup=False):
     synth(snap.schema, {}, expr)  # the harness precondition: typed input
     cfg = EvalConfig(permutation_seed=seed, dedup_projections=dedup,
                      id_allocator=IdAllocator(snap.next_id))
-    return evaluate(snap.schema, cfg, {}, snap.store, snap.store, expr)
+    return evaluate(snap.schema, cfg, {}, snap.store, expr)
 
 
 def strs(vals):
@@ -402,7 +402,7 @@ def test_zero_label_type_end_to_end():
     expr = desugar(parse_query("insert T {}"))
     ty, m = synth(snap.schema, {}, expr)
     cfg = EvalConfig(id_allocator=IdAllocator(snap.next_id))
-    out = evaluate(snap.schema, cfg, {}, snap.store, snap.store, expr)
+    out = evaluate(snap.schema, cfg, {}, snap.store, expr)
     assert to_json_text(serialize(out.result, ty, m)) == '{"id":"1"}'
     assert check_store(snap.schema, out.store_after.unlock_all()) == []
 
@@ -418,14 +418,14 @@ def test_self_link_cycle_stays_well_formed():
     synth(empty.schema, {}, seed_expr)
     alloc = IdAllocator(1)
     seeded = evaluate(empty.schema, EvalConfig(id_allocator=alloc), {},
-                      empty.store, empty.store, seed_expr)
+                      empty.store, seed_expr)
     snap = load_snapshot(save_snapshot(schema_text, seeded.store_after.unlock_all(),
                                        alloc.next_id))
 
     cyc = desugar(parse_query("for u in U union (update u set { friend := u })"))
     ty, m = synth(snap.schema, {}, cyc)
     out = evaluate(snap.schema, EvalConfig(id_allocator=IdAllocator(snap.next_id)),
-                   {}, snap.store, snap.store, cyc)
+                   {}, snap.store, cyc)
     assert out.store_after.tuples["1"].record[olabel("friend")] == [StoredRef("1", {})]
     assert check_store(snap.schema, out.store_after.unlock_all()) == []
     assert store_extends(snap.store, out.store_after)
@@ -439,7 +439,7 @@ def test_defensive_faults_on_untyped_inputs(seed_snapshot):
     def fault(e, env=None):
         with pytest.raises(EvalFault) as err:
             evaluate(seed_snapshot.schema, cfg(), env or {},
-                     seed_snapshot.store, seed_snapshot.store, e)
+                     seed_snapshot.store, e)
         return err.value.kind
 
     assert fault(core.Var("ghost")) == "UnboundVar"
@@ -489,8 +489,7 @@ def test_adversarial_battery(seed_snapshot, text):
     for seed in (None, 21, 22):
         cfg = EvalConfig(permutation_seed=seed,
                          id_allocator=IdAllocator(seed_snapshot.next_id))
-        out = evaluate(seed_snapshot.schema, cfg, {}, seed_snapshot.store,
-                       seed_snapshot.store, expr)
+        out = evaluate(seed_snapshot.schema, cfg, {}, seed_snapshot.store, expr)
         assert type_computed_seq(seed_snapshot.schema, seed_snapshot.store,
                                  out.store_after, out.result, ty, card), text
         assert check_store(seed_snapshot.schema, out.store_after.unlock_all()) == [], text

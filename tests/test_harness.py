@@ -238,5 +238,5 @@ def test_serialization_total_on_generated_outputs():
     for seed in range(150):
         inst = gen_instance(GenConfig(seed=seed))
         cfg = EvalConfig(id_allocator=IdAllocator.for_store(inst.store))
-        out = evaluate(inst.schema, cfg, {}, inst.store, inst.store, inst.expr)
+        out = evaluate(inst.schema, cfg, {}, inst.store, inst.expr)
         json.loads(to_json_text(serialize(out.result, inst.ty, inst.card)))

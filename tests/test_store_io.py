@@ -62,7 +62,7 @@ def test_save_after_insert_round_trips():
         'insert Person { name := "New", age := 1, born := <str>{} }'))
     synth(snap.schema, {}, expr)
     cfg = EvalConfig(id_allocator=IdAllocator(snap.next_id))
-    out = evaluate(snap.schema, cfg, {}, snap.store, snap.store, expr)
+    out = evaluate(snap.schema, cfg, {}, snap.store, expr)
     text = save_snapshot(snap.schema_text, out.store_after.unlock_all(), cfg.id_allocator.next_id)
     again = load_snapshot(text)
     assert again.store.tuples["12"].record[NAME] == [StrVal("New")]
@@ -160,6 +160,26 @@ def test_repo_root_copy_matches_packaged_seed():
 
     root_copy = Path(__file__).parent.parent / "movies.grdb.json"
     assert root_copy.read_text(encoding="utf-8") == seed_snapshot_text()
+
+
+def test_empty_field_name_is_an_extra_label():
+    doc = json.loads(seed_snapshot_text())
+    doc["entities"][0]["fields"][""] = [1]
+    with pytest.raises(SnapshotError) as err:
+        load_snapshot(json.dumps(doc))
+    assert [str(d) for d in err.value.diagnostics] == [
+        "ExtraLabel #1. label not declared in schema"]
+
+
+def test_link_property_given_twice_is_a_bad_cell():
+    # "character" and "@character" name the same link property
+    doc = json.loads(seed_snapshot_text())
+    movie = next(ent for ent in doc["entities"] if ent["id"] == "7")
+    movie["fields"]["actors"][0]["props"] = {"character": ["A"], "@character": ["B"]}
+    with pytest.raises(SnapshotError) as err:
+        load_snapshot(json.dumps(doc))
+    assert [str(d) for d in err.value.diagnostics] == [
+        "BadCell #7.actors.@character link property given twice"]
 
 
 def _with_schema_int(doc):

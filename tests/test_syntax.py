@@ -226,17 +226,17 @@ def _exprs(bound: tuple[str, ...], implicit: bool, depth: int):
             s.Shape, sub,
             st.lists(st.tuples(st.sampled_from([olabel("a"), olabel("b")]),
                                _exprs(bound, True, depth - 1)),
-                     min_size=0, max_size=2, unique_by=lambda kv: kv[0].name),
+                     min_size=0, max_size=2, unique_by=lambda kv: kv[0]),
         ),
         st.builds(s.Filter, sub, _exprs(bound, True, depth - 1)),
         st.builds(s.OrderBy, sub, _exprs(bound, True, depth - 1)),
         st.builds(s.Insert, _names,
                   st.lists(st.tuples(st.sampled_from([olabel("a"), olabel("b")]), sub),
-                           min_size=0, max_size=2, unique_by=lambda kv: kv[0].name)),
+                           min_size=0, max_size=2, unique_by=lambda kv: kv[0])),
         st.builds(s.Update, sub,
                   st.lists(st.tuples(st.sampled_from([olabel("a"), olabel("b")]),
                                      _exprs(bound, True, depth - 1)),
-                           min_size=1, max_size=2, unique_by=lambda kv: kv[0].name)),
+                           min_size=1, max_size=2, unique_by=lambda kv: kv[0])),
     ]
     for var in ("x", "y"):
         composites.append(

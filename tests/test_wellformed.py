@@ -241,8 +241,7 @@ def test_shaped_query_result_types_at_synthesized_type(seed_snapshot):
         " actors: { name, @character }}"))
     ty, card = synth(seed_snapshot.schema, {}, expr)
     cfg = EvalConfig(id_allocator=IdAllocator(seed_snapshot.next_id))
-    out = evaluate(seed_snapshot.schema, cfg, {}, seed_snapshot.store,
-                   seed_snapshot.store, expr)
+    out = evaluate(seed_snapshot.schema, cfg, {}, seed_snapshot.store, expr)
     assert type_computed_seq(seed_snapshot.schema, seed_snapshot.store,
                              out.store_after, out.result, ty, card)
 
