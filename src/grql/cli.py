@@ -1,8 +1,9 @@
 """Command-line front end: one-shot query runner, REPL, checker, and fuzzer.
 
 Exit codes: 0 success, 1 parse/type/runtime error in a query (or a failure
-`fuzz` found), 2 snapshot, store or counter-example file error. Results go to stdout, diagnostics to stderr. GRQL_SEED, when
-set, is the default permutation seed.
+`fuzz` found), 2 snapshot, store or counter-example file error, or a `fuzz`
+count out of range. Results go to stdout, diagnostics to stderr. GRQL_SEED,
+when set, is the default permutation seed.
 """
 
 from __future__ import annotations
@@ -112,18 +113,31 @@ def _write_snapshot(path: str, text: str) -> None:
             raise
 
 
-def _open_snapshot(path: str) -> LoadedSnapshot | None:
-    """Load the snapshot at `path`, or print why it cannot be loaded (one
-    diagnostic per line) and return None."""
+def _read_text(path: str) -> str | None:
+    """The text of the file at `path`, or None after printing why it cannot
+    be read."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return load_snapshot(fh.read())
+            return fh.read()
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return None
+
+
+def _load_text(text: str) -> LoadedSnapshot | None:
+    """Load snapshot text, or print why it cannot be loaded (one diagnostic
+    per line) and return None."""
+    try:
+        return load_snapshot(text)
     except SnapshotError as exc:
         for d in exc.diagnostics:
             print(d, file=sys.stderr)
-    return None
+        return None
+
+
+def _open_snapshot(path: str) -> LoadedSnapshot | None:
+    text = _read_text(path)
+    return None if text is None else _load_text(text)
 
 
 def cmd_run(args) -> int:
@@ -145,21 +159,15 @@ def cmd_run(args) -> int:
 
 
 def cmd_check(args) -> int:
-    try:
-        with open(args.path, encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    text = _read_text(args.path)
+    if text is None:
         return EXIT_STORE_ERROR
 
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        try:
-            schema = load_snapshot(text).schema
-        except SnapshotError as exc:
-            for d in exc.diagnostics:
-                print(d, file=sys.stderr)
+    if text.lstrip().startswith("{"):
+        snap = _load_text(text)
+        if snap is None:
             return EXIT_STORE_ERROR
+        schema = snap.schema
     else:
         # a bare schema file
         try:
@@ -273,6 +281,15 @@ def cmd_repl(args, stdin=None, stdout=None) -> int:
 
 
 def cmd_fuzz(args) -> int:
+    # checked before any worker process exists
+    max_workers = os.cpu_count() or 1
+    if args.cases < 0:
+        print(f"error: --cases must be at least 0, got {args.cases}", file=sys.stderr)
+        return EXIT_STORE_ERROR
+    if not 1 <= args.workers <= max_workers:
+        print(f"error: --workers must be between 1 and {max_workers}, got {args.workers}",
+              file=sys.stderr)
+        return EXIT_STORE_ERROR
     if args.replay:
         try:
             with open(args.replay, encoding="utf-8") as fh:

@@ -39,6 +39,8 @@ class DesugarError(Exception):
         self.span = span
 
     def __str__(self) -> str:
+        if self.span is not None:
+            return f"{self.code} at {self.span[0]}..{self.span[1]}: {self.message}"
         return f"{self.code}: {self.message}"
 
 

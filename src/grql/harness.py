@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import json
 import random
+from collections import Counter
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
 
 from . import core
@@ -51,7 +53,7 @@ from .model import (
 )
 from .parser import schema_to_source
 from .store_io import save_snapshot
-from .typecheck import synth
+from .typecheck import extend_type, synth
 from .wellformed import check_schema, check_store, store_extends, type_computed_seq
 
 PROPERTIES = (
@@ -116,6 +118,14 @@ Context = dict[str, tuple[ComputedType, Cardinality]]
 _SCALARS = (ScalarType.INT, ScalarType.STR, ScalarType.BOOL)
 
 
+def _random_scalar(rng: random.Random, t: ScalarType) -> IntVal | StrVal | BoolVal:
+    if t is ScalarType.INT:
+        return IntVal(rng.randint(-_INT_BOUND, _INT_BOUND))
+    if t is ScalarType.STR:
+        return StrVal(rng.choice(_WORDS))
+    return BoolVal(rng.random() < 0.5)
+
+
 def _min_depth(m: Cardinality) -> int:
     """Smallest tree depth at which a scalar of mode m is constructible."""
     return 1 if m in (ONE, EMPTY) else 2
@@ -145,19 +155,15 @@ class _Gen:
         # a type is insertable iff a finite insert derivation exists: every
         # required link must target an insertable type (least fixpoint, so
         # required-link cycles are excluded and generation terminates)
-        self.insertable: dict[str, bool] = {n: False for n in schema.types}
-        changed = True
-        while changed:
-            changed = False
-            for n, decl in schema.types.items():
-                if self.insertable[n]:
-                    continue
-                if all(self.insertable[ty.target]
-                       for _, (ty, card) in decl.labels.items()
-                       if isinstance(ty, StoredRefType) and card.lo == 1):
-                    self.insertable[n] = True
-                    changed = True
-        self.insertable_types = [n for n, ok in self.insertable.items() if ok]
+        self.insertable: set[str] = set()
+        while True:
+            grown = {n for n, decl in schema.types.items()
+                     if all(ty.target in self.insertable
+                            for ty, card in decl.labels.values()
+                            if isinstance(ty, StoredRefType) and card.lo == 1)}
+            if grown == self.insertable:
+                break
+            self.insertable = grown
 
     def fresh(self) -> str:
         self.counter += 1
@@ -166,17 +172,24 @@ class _Gen:
     def pick(self, xs):
         return xs[self.rng.randrange(len(xs))]
 
-    def sub_modes(self, depth: int, allowed=ALL_CARDINALITIES) -> list[Cardinality]:
-        return [m for m in allowed if _min_depth(m) <= depth]
+    def sub_modes(self, depth: int, allowed=ALL_CARDINALITIES,
+                  within: Cardinality = MANY) -> list[Cardinality]:
+        """The modes in `allowed` that fit `within` and are constructible at `depth`."""
+        return [m for m in allowed if _min_depth(m) <= depth and card_le(m, within)]
+
+    @contextmanager
+    def iterating(self, many: bool):
+        """Generate under a context evaluated once per element when `many`."""
+        self.iter_depth += many
+        try:
+            yield
+        finally:
+            self.iter_depth -= many
 
     # -- scalar expressions ------------------------------------------------
 
     def literal(self, t: ScalarType) -> core.Expr:
-        if t is ScalarType.INT:
-            return core.Prim(IntVal(self.rng.randint(-_INT_BOUND, _INT_BOUND)))
-        if t is ScalarType.STR:
-            return core.Prim(StrVal(self.pick(_WORDS)))
-        return core.Prim(BoolVal(self.rng.random() < 0.5))
+        return core.Prim(_random_scalar(self.rng, t))
 
     def scalar(self, ctx: Context, t: ScalarType, m: Cardinality, depth: int) -> core.Expr:
         """An expression with synth result exactly (t, m)."""
@@ -207,7 +220,7 @@ class _Gen:
             case "split":
                 return self.scalar_split(ctx, t, m, depth)
             case "wrap":
-                return self.wrap(ctx, depth, m, lambda c, d: self.scalar(c, t, m, d))
+                return self.wrap(ctx, t, m, depth)
             case _:
                 return self.scalar_base(ctx, t, m)
 
@@ -218,8 +231,7 @@ class _Gen:
             return core.Empty(ty=t)
         if m == AT_MOST_ONE:
             # if!(b; v; empty): joins [1,1] with [0,0]
-            return core.If(core.Prim(BoolVal(self.rng.random() < 0.5)),
-                           self.literal(t), core.Empty(ty=t))
+            return core.If(self.literal(ScalarType.BOOL), self.literal(t), core.Empty(ty=t))
         if m == AT_LEAST_ONE:
             return core.Union(self.literal(t), self.literal(t))
         # [0,inf]: coalesce always widens to unconstrained cardinality
@@ -250,17 +262,17 @@ class _Gen:
 
     def scalar_call(self, ctx: Context, t: ScalarType, depth: int) -> core.Expr:
         sub = depth - 1
-        if t is ScalarType.INT:
-            if self.rng.random() < 0.5:
-                vals, _, _ = self.any_seq(ctx, sub)
-                return core.Call("count", [vals])
-            return core.Call("add", [self.scalar(ctx, ScalarType.INT, ONE, sub),
-                                     self.scalar(ctx, ScalarType.INT, ONE, sub)])
-        if t is ScalarType.STR:
-            return core.Call("append", [self.scalar(ctx, ScalarType.STR, ONE, sub),
-                                        self.scalar(ctx, ScalarType.STR, ONE, sub)])
+
+        def ones(at: ScalarType, n: int = 2) -> list[core.Expr]:
+            return [self.scalar(ctx, at, ONE, sub) for _ in range(n)]
+
+        if t is ScalarType.INT and self.rng.random() < 0.5:
+            vals, _, _ = self.any_seq(ctx, sub)
+            return core.Call("count", [vals])
+        if t is not ScalarType.BOOL:
+            return core.Call("add" if t is ScalarType.INT else "append", ones(t))
         kinds = ["eq", "any", "lt", "not"]
-        one_obj_feasible = (self.mutations and self.insertable_types) or any(
+        one_obj_feasible = (self.mutations and self.insertable) or any(
             isinstance(vt, ObjType) and vm == ONE for vt, vm in ctx.values()
         )
         if depth >= 3 and one_obj_feasible:
@@ -270,19 +282,16 @@ class _Gen:
                 mode = self.pick(self.sub_modes(sub))
                 return core.Call("any", [self.scalar(ctx, ScalarType.BOOL, mode, sub)])
             case "lt":
-                return core.Call("lt", [self.scalar(ctx, ScalarType.INT, ONE, sub),
-                                        self.scalar(ctx, ScalarType.INT, ONE, sub)])
+                return core.Call("lt", ones(ScalarType.INT))
             case "not":
-                return core.Call("not", [self.scalar(ctx, ScalarType.BOOL, ONE, sub)])
+                return core.Call("not", ones(ScalarType.BOOL, 1))
             case "eq_obj":
                 # eq takes [1,1] arguments: bind one object, compare it to itself
                 expr, _, _ = self.object(ctx, sub, want_modes=(ONE,))
                 y = self.fresh()
                 return core.With(expr, y, core.Call("eq", [core.Var(y), core.Var(y)]))
             case _:
-                st = self.pick(_SCALARS)
-                return core.Call("eq", [self.scalar(ctx, st, ONE, sub),
-                                        self.scalar(ctx, st, ONE, sub)])
+                return core.Call("eq", ones(self.pick(_SCALARS)))
 
     def scalar_proj_options(self, ctx: Context, t: ScalarType, m: Cardinality):
         """Projections Var(x).L from object variables at [1,1] that hit (t, m)
@@ -295,38 +304,34 @@ class _Gen:
                 if ety == t and card_mul(ecard, vm) == m:
                     out.append((name, lbl))
             decl = self.schema.decl(vt.target)
-            if decl:
-                for lbl, (sty, scard) in decl.labels.items():
-                    if lbl not in vt.entries and sty == t and card_mul(scard, vm) == m:
-                        out.append((name, lbl))
+            for lbl, (sty, scard) in (decl.labels.items() if decl else ()):
+                if lbl not in vt.entries and sty == t and card_mul(scard, vm) == m:
+                    out.append((name, lbl))
         return out
 
     # -- wrappers ------------------------------------------------------------
 
-    def wrap(self, ctx: Context, depth: int, m: Cardinality, inner) -> core.Expr:
-        """Mode-preserving wrappers: with-binding, a [1,1] for-loop, order by."""
+    def wrap(self, ctx: Context, t: ScalarType, m: Cardinality, depth: int) -> core.Expr:
+        """A (t, m) scalar under a mode-preserving wrapper: a with-binding, a
+        [1,1] for-loop, or an order by."""
         sub = depth - 1
         kind = self.pick(("with", "for_one", "orderby"))
+        if kind == "orderby":
+            body = self.scalar(ctx, t, m, sub)
+            x = self.fresh()
+            key_t = self.pick(_SCALARS)
+            key_m = self.pick(self.sub_modes(sub, (EMPTY, ONE, AT_MOST_ONE)))
+            with self.iterating(m.hi > 1):
+                key = self.scalar({**ctx, x: (t, ONE)}, key_t, key_m, sub)
+            return core.OrderBy(body, x, key)
         if kind == "with":
             bound, bty, bcard = self.any_seq(ctx, sub)
-            x = self.fresh()
-            return core.With(bound, x, inner({**ctx, x: (bty, bcard)}, sub))
-        if kind == "for_one":
-            t = self.pick(_SCALARS)
-            src = self.scalar(ctx, t, ONE, sub)
-            x = self.fresh()
-            return core.For(src, x, inner({**ctx, x: (t, ONE)}, sub))
-        body = inner(ctx, sub)
-        bty, _ = synth(self.schema, ctx, body)
+        else:
+            bty, bcard = self.pick(_SCALARS), ONE
+            bound = self.scalar(ctx, bty, ONE, sub)
         x = self.fresh()
-        key_t = self.pick(_SCALARS)
-        key_m = self.pick(self.sub_modes(sub, (EMPTY, ONE, AT_MOST_ONE)))
-        if m.hi > 1:
-            self.iter_depth += 1
-        key = self.scalar({**ctx, x: (bty, ONE)}, key_t, key_m, sub)
-        if m.hi > 1:
-            self.iter_depth -= 1
-        return core.OrderBy(body, x, key)
+        body = self.scalar({**ctx, x: (bty, bcard)}, t, m, sub)
+        return (core.With if kind == "with" else core.For)(bound, x, body)
 
     def any_seq(self, ctx: Context, depth: int) -> tuple[core.Expr, ComputedType, Cardinality]:
         """Any well-typed expression (with-bindings, count arguments)."""
@@ -358,7 +363,7 @@ class _Gen:
                 feasible.append(("backlink", *self.pick(backlinks)))
         if allowed(EMPTY):
             feasible.append(("empty", self.pick(names)))
-        insert_names = [n for n in names if self.insertable[n]]
+        insert_names = [n for n in names if n in self.insertable]
         if self.mutations and depth >= 2 and insert_names:
             if allowed(ONE):
                 feasible.append(("insert", self.pick(insert_names)))
@@ -392,7 +397,9 @@ class _Gen:
                 cond = self.scalar(ctx, ScalarType.BOOL, ONE, depth - 1)
                 expr, ty, card = core.If(cond, ins, core.Empty(ty=ity)), ity, AT_MOST_ONE
             case ("update",):
-                expr, ty = self.update(ctx, depth)
+                # update! over a directly generated [1,1] subject
+                subj, subj_ty, _ = self.object(ctx, depth - 1, want_modes=(ONE,))
+                expr, ty = self.update(ctx, subj, subj_ty, depth)
                 card = AT_MOST_ONE
             case ("lifted_update",):
                 expr, ty, card = self.lifted_update(ctx, depth)
@@ -410,38 +417,33 @@ class _Gen:
                 depth: int, subj_card: Cardinality) -> tuple[core.Expr, ObjType]:
         """Apply a shape; the subject's mode is preserved and shadowed entries
         survive invisibly in both the value and the type."""
-        from .typecheck import extend_type
-
         x = self.fresh()
         inner_ctx = {**ctx, x: (subj_ty, ONE)}
         decl = self.schema.decl(subj_ty.target)
         shape: list[tuple[Label, core.Expr]] = []
         new_entries: list[tuple[Label, tuple[ComputedType, Cardinality]]] = []
         used: set[Label] = set()
-        if subj_card.hi > 1:
-            self.iter_depth += 1
-        for _ in range(self.rng.randint(1, 2)):
-            if self.rng.random() < 0.5 and decl and decl.labels:
-                lbl = self.pick(list(decl.labels))
-            else:
-                lbl = self.pick(("w1", "w2", "w3"))
-            if lbl in used:
-                continue
-            used.add(lbl)
-            nested_ok = depth >= 3 and self.shape_nesting < self.cfg.max_depth
-            if nested_ok and self.rng.random() < 0.3:
-                self.shape_nesting += 1
-                e, ety, ecard = self.object(inner_ctx, depth - 1)
-                self.shape_nesting -= 1
-                shape.append((lbl, e))
-                new_entries.append((lbl, (ety, ecard)))
-            else:
-                t = self.pick(_SCALARS)
-                m = self.pick(self.sub_modes(depth - 1))
-                shape.append((lbl, self.scalar(inner_ctx, t, m, depth - 1)))
-                new_entries.append((lbl, (t, m)))
-        if subj_card.hi > 1:
-            self.iter_depth -= 1
+        with self.iterating(subj_card.hi > 1):
+            for _ in range(self.rng.randint(1, 2)):
+                if self.rng.random() < 0.5 and decl and decl.labels:
+                    lbl = self.pick(list(decl.labels))
+                else:
+                    lbl = self.pick(("w1", "w2", "w3"))
+                if lbl in used:
+                    continue
+                used.add(lbl)
+                nested_ok = depth >= 3 and self.shape_nesting < self.cfg.max_depth
+                if nested_ok and self.rng.random() < 0.3:
+                    self.shape_nesting += 1
+                    e, ety, ecard = self.object(inner_ctx, depth - 1)
+                    self.shape_nesting -= 1
+                    shape.append((lbl, e))
+                    new_entries.append((lbl, (ety, ecard)))
+                else:
+                    t = self.pick(_SCALARS)
+                    m = self.pick(self.sub_modes(depth - 1))
+                    shape.append((lbl, self.scalar(inner_ctx, t, m, depth - 1)))
+                    new_entries.append((lbl, (t, m)))
         return core.Shaping(subj, x, shape), extend_type(subj_ty, new_entries)
 
     def lifted_update(self, ctx: Context, depth: int) -> tuple[core.Expr, ObjType, Cardinality]:
@@ -459,9 +461,8 @@ class _Gen:
             seq, seq_ty = self.reshape(ctx, seq, seq_ty, depth - 1, MANY)
         y = self.fresh()
         inner_ctx = {**ctx, y: (seq_ty, ONE)}
-        self.iter_depth += 1
-        upd, ty = self.update_of(inner_ctx, core.Var(y), seq_ty, depth - 1)
-        self.iter_depth -= 1
+        with self.iterating(True):
+            upd, ty = self.update(inner_ctx, core.Var(y), seq_ty, depth - 1)
         return core.For(seq, y, upd), ty, card_mul(MANY, AT_MOST_ONE)
 
     def insert(self, ctx: Context, n: str, depth: int) -> tuple[core.Expr, ObjType]:
@@ -471,13 +472,8 @@ class _Gen:
         shape, entries = self.label_values(ctx, decl, list(decl.labels), depth)
         return core.Insert(n, shape), ObjType(n, entries)
 
-    def update(self, ctx: Context, depth: int) -> tuple[core.Expr, ObjType]:
-        """update! over a directly generated [1,1] subject."""
-        subj, subj_ty, _ = self.object(ctx, depth - 1, want_modes=(ONE,))
-        return self.update_of(ctx, subj, subj_ty, depth)
-
-    def update_of(self, ctx: Context, subj: core.Expr, subj_ty: ObjType,
-                  depth: int) -> tuple[core.Expr, ObjType]:
+    def update(self, ctx: Context, subj: core.Expr, subj_ty: ObjType,
+               depth: int) -> tuple[core.Expr, ObjType]:
         """update! of a given subject over a label subset (possibly empty,
         which still locks the tuple)."""
         decl = self.schema.decl(subj_ty.target)
@@ -485,7 +481,7 @@ class _Gen:
         inner_ctx = {**ctx, x: (subj_ty, ONE)}
         labels = [lbl for lbl, (sty, scard) in decl.labels.items()
                   if not isinstance(sty, StoredRefType)
-                  or scard.lo == 0 or self.insertable[sty.target]]
+                  or scard.lo == 0 or sty.target in self.insertable]
         chosen = [lbl for lbl in labels if self.rng.random() < 0.6]
         if not chosen and labels:
             chosen = [self.pick(labels)]
@@ -505,9 +501,7 @@ class _Gen:
             if isinstance(sty, StoredRefType):
                 e, ety = self.link_value(ctx, sty, scard, depth - 1)
             else:
-                mode = self.pick(self.sub_modes(scalar_depth,
-                                                [mm for mm in ALL_CARDINALITIES
-                                                 if card_le(mm, scard)]))
+                mode = self.pick(self.sub_modes(scalar_depth, within=scard))
                 e, ety = self.scalar(ctx, sty, mode, scalar_depth), sty
             shape.append((lbl, e))
             entries[lbl] = (ety, scard)
@@ -518,61 +512,52 @@ class _Gen:
         """An expression checkable against (refty, m): it targets the link's
         object type and carries every link property with lower bound one.
         The depth budget is soft here; required properties force a shape."""
-        from .typecheck import extend_type
-
         required = [(lbl, pt, pc) for lbl, (pt, pc) in refty.link_props if pc.lo == 1]
         optional = [(lbl, pt, pc) for lbl, (pt, pc) in refty.link_props if pc.lo == 0]
-
-        def bare(max_mode: Cardinality) -> tuple[core.Expr, ObjType, Cardinality]:
-            opts = []
-            for name, (vt, vm) in ctx.items():
-                if (isinstance(vt, ObjType) and vt.target == refty.target
-                        and not vt.entries and card_le(vm, max_mode)):
-                    opts.append(("var", name, vt, vm))
-            if max_mode.lo == 0:
-                opts.append("empty")
-            can_insert = self.mutations and self.insertable[refty.target]
-            # a required link forces an insert; otherwise inserts need budget
-            if max_mode.hi >= 1 and can_insert and (depth >= 1 or max_mode.lo == 1):
-                opts.append("insert")
-            if max_mode == MANY:
-                opts.append("name")
-            assert opts, f"no value production for link to {refty.target} at {max_mode}"
-            match self.pick(opts):
-                case ("var", name, vt, vm):
-                    return core.Var(name), vt, vm
-                case "empty":
-                    ty = ObjType(refty.target, {})
-                    return core.Empty(ty=ty), ty, EMPTY
-                case "name":
-                    return core.Name(refty.target), ObjType(refty.target, {}), MANY
-                case _:
-                    e, ty = self.insert(ctx, refty.target, depth - 1)
-                    return e, ty, ONE
-
         wanted = required + [p for p in optional if self.rng.random() < 0.4]
+
+        # the bare subject: a plain object of the target type within mode m
+        opts = []
+        for name, (vt, vm) in ctx.items():
+            if (isinstance(vt, ObjType) and vt.target == refty.target
+                    and not vt.entries and card_le(vm, m)):
+                opts.append(("var", name, vt, vm))
+        if m.lo == 0:
+            opts.append("empty")
+        can_insert = self.mutations and refty.target in self.insertable
+        # a required link forces an insert; otherwise inserts need budget
+        if m.hi >= 1 and can_insert and (depth >= 1 or m.lo == 1):
+            opts.append("insert")
+        if m == MANY:
+            opts.append("name")
+        assert opts, f"no value production for link to {refty.target} at {m}"
+        subj_ty = ObjType(refty.target, {})
+        match self.pick(opts):
+            case ("var", name, subj_ty, subj_card):
+                subj: core.Expr = core.Var(name)
+            case "empty":
+                subj, subj_card = core.Empty(ty=subj_ty), EMPTY
+            case "name":
+                subj, subj_card = core.Name(refty.target), MANY
+            case _:
+                subj, subj_ty = self.insert(ctx, refty.target, depth - 1)
+                subj_card = ONE
         if not wanted:
-            e, ty, _ = bare(m)
-            return e, ty
-        subj, subj_ty, subj_card = bare(m)
+            return subj, subj_ty
         x = self.fresh()
         inner_ctx = {**ctx, x: (subj_ty, ONE)}
         shape = []
         new_entries = []
-        if subj_card.hi > 1:
-            self.iter_depth += 1
-        for lbl, pt, pc in wanted:
-            if pc.lo == 1:
-                mode = ONE
-            else:
-                mode = self.pick(self.sub_modes(max(depth, 1),
-                                                [mm for mm in (ONE, EMPTY, AT_MOST_ONE)
-                                                 if card_le(mm, pc)]))
-            e = self.scalar(inner_ctx, pt, mode, max(depth, _min_depth(mode)))
-            shape.append((lbl, e))
-            new_entries.append((lbl, (pt, mode)))
-        if subj_card.hi > 1:
-            self.iter_depth -= 1
+        with self.iterating(subj_card.hi > 1):
+            for lbl, pt, pc in wanted:
+                if pc.lo == 1:
+                    mode = ONE
+                else:
+                    mode = self.pick(self.sub_modes(max(depth, 1), (ONE, EMPTY, AT_MOST_ONE),
+                                                    within=pc))
+                e = self.scalar(inner_ctx, pt, mode, max(depth, _min_depth(mode)))
+                shape.append((lbl, e))
+                new_entries.append((lbl, (pt, mode)))
         return core.Shaping(subj, x, shape), extend_type(subj_ty, new_entries)
 
 
@@ -590,13 +575,12 @@ def _gen_schema(rng: random.Random, cfg: GenConfig) -> Schema:
             if rng.random() < 0.35:
                 target = rng.choice(names)
                 props = tuple(
-                    (llabel(f"p{k}"), (rng.choice((ScalarType.INT, ScalarType.STR, ScalarType.BOOL)),
-                                       rng.choice(_PROP_MODES)))
+                    (llabel(f"p{k}"), (rng.choice(_SCALARS), rng.choice(_PROP_MODES)))
                     for k in range(rng.randint(0, 2))
                 )
                 labels[lbl] = (StoredRefType(target, props), card)
             else:
-                labels[lbl] = (rng.choice((ScalarType.INT, ScalarType.STR, ScalarType.BOOL)), card)
+                labels[lbl] = (rng.choice(_SCALARS), card)
         schema.types[tname] = ObjectTypeDecl(labels)
     return schema
 
@@ -612,13 +596,6 @@ def _gen_store(rng: random.Random, cfg: GenConfig, schema: Schema) -> Store:
     for id, tname in zip(ids, assignment):
         by_type.setdefault(tname, []).append(id)
 
-    def scalar_cell(t: ScalarType):
-        if t is ScalarType.INT:
-            return IntVal(rng.randint(-_INT_BOUND, _INT_BOUND))
-        if t is ScalarType.STR:
-            return StrVal(rng.choice(_WORDS))
-        return BoolVal(rng.random() < 0.5)
-
     def seq_len(card: Cardinality) -> int:
         hi = 2 if card.hi == float("inf") else int(card.hi)
         return rng.randint(card.lo, max(card.lo, hi))
@@ -633,13 +610,13 @@ def _gen_store(rng: random.Random, cfg: GenConfig, schema: Schema) -> Store:
                 for _ in range(n):
                     target_id = rng.choice(by_type[sty.target])
                     props = {
-                        plbl: [scalar_cell(pt) for _ in range(seq_len(pc))]
+                        plbl: [_random_scalar(rng, pt) for _ in range(seq_len(pc))]
                         for plbl, (pt, pc) in sty.link_props
                     }
                     cells.append(StoredRef(target_id, props))
                 record[lbl] = cells
             else:
-                record[lbl] = [scalar_cell(sty) for _ in range(n)]
+                record[lbl] = [_random_scalar(rng, sty) for _ in range(n)]
         store.tuples[id] = StoreTuple(tname, record)
     return store
 
@@ -656,17 +633,14 @@ def gen_instance(cfg: GenConfig) -> Instance:
     if depth == 1:
         roll = rng.random()
         if roll < 0.4:
-            t = gen.pick((ScalarType.INT, ScalarType.STR, ScalarType.BOOL))
-            expr: core.Expr = gen.literal(t)
+            expr: core.Expr = gen.literal(gen.pick(_SCALARS))
         elif roll < 0.7:
-            t = gen.pick((ScalarType.INT, ScalarType.STR, ScalarType.BOOL))
-            expr = core.Empty(ty=t)
+            expr = core.Empty(ty=gen.pick(_SCALARS))
         else:
             expr = core.Name(gen.pick(list(schema.types)))
     elif rng.random() < 0.45:
-        t = gen.pick((ScalarType.INT, ScalarType.STR, ScalarType.BOOL))
-        m = gen.pick(ALL_CARDINALITIES)
-        expr = gen.scalar({}, t, m, depth)
+        t = gen.pick(_SCALARS)
+        expr = gen.scalar({}, t, gen.pick(ALL_CARDINALITIES), depth)
     else:
         expr, _, _ = gen.object({}, depth)
 
@@ -742,10 +716,6 @@ def inserted_fingerprints(store_after: Store, base_ids: set[str]) -> list[str]:
 
 # ---------------------------------------------------------------------------
 
-def _has_mutations(e: core.Expr) -> bool:
-    return any(isinstance(n, (core.Insert, core.Update)) for n in core.walk(e))
-
-
 def check_soundness(instance: Instance, eval_seeds: list[int],
                     evaluator_cls=Evaluator) -> CounterExample | None:
     """Run the executable soundness properties; None means all passed."""
@@ -754,7 +724,7 @@ def check_soundness(instance: Instance, eval_seeds: list[int],
         return CounterExample(instance, list(eval_seeds), prop, witness)
 
     base_ids = set(instance.store.tuples)
-    mutating = _has_mutations(instance.expr)
+    mutating = any(isinstance(n, (core.Insert, core.Update)) for n in core.walk(instance.expr))
     fingerprints: list[tuple[str, list[str]]] = []
 
     for seed in eval_seeds:
@@ -794,11 +764,8 @@ def check_soundness(instance: Instance, eval_seeds: list[int],
     return None
 
 
-def constructor_counts(e: core.Expr) -> dict[str, int]:
-    counts: dict[str, int] = {}
-    for node in core.walk(e):
-        counts[type(node).__name__] = counts.get(type(node).__name__, 0) + 1
-    return counts
+def constructor_counts(e: core.Expr) -> Counter[str]:
+    return Counter(type(node).__name__ for node in core.walk(e))
 
 
 CONSTRUCTORS = ("Var", "Prim", "Empty", "Union", "Name", "Proj", "Backlink",
@@ -814,28 +781,27 @@ def _derive_eval_seeds(master_seed: int, index: int, count: int = 3) -> list[int
             for j in range(count)]
 
 
-def run_case(master_seed: int, index: int, base: GenConfig) -> tuple[CounterExample | None, dict[str, int]]:
+def run_case(master_seed: int, index: int, base: GenConfig) -> tuple[CounterExample | None, Counter[str]]:
     cfg = replace(base, seed=_derive_case_seed(master_seed, index))
     instance = gen_instance(cfg)
     ce = check_soundness(instance, _derive_eval_seeds(master_seed, index))
     return ce, constructor_counts(instance.expr)
 
 
-def _run_range(args) -> tuple[list, dict[str, int]]:
+def _run_range(args) -> tuple[list[CounterExample], Counter[str]]:
     master_seed, start, stop, base = args
-    failures = []
-    coverage: dict[str, int] = {}
+    failures: list[CounterExample] = []
+    coverage: Counter[str] = Counter()
     for i in range(start, stop):
         ce, counts = run_case(master_seed, i, base)
         if ce is not None:
             failures.append(ce)
-        for k, v in counts.items():
-            coverage[k] = coverage.get(k, 0) + v
+        coverage.update(counts)
     return failures, coverage
 
 
 def run_fuzz(cases: int, master_seed: int, base: GenConfig | None = None,
-             workers: int = 1) -> tuple[list[CounterExample], dict[str, int]]:
+             workers: int = 1) -> tuple[list[CounterExample], Counter[str]]:
     """Run `cases` generated instances, three eval seeds each; returns the
     counter-examples found (normally none) and constructor coverage counts."""
     base = base or GenConfig()
@@ -845,14 +811,10 @@ def run_fuzz(cases: int, master_seed: int, base: GenConfig | None = None,
 
     chunk = max(1, cases // workers)
     ranges = [(master_seed, i, min(i + chunk, cases), base) for i in range(0, cases, chunk)]
-    failures: list[CounterExample] = []
-    coverage: dict[str, int] = {}
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        for fails, cov in pool.map(_run_range, ranges):
-            failures.extend(fails)
-            for k, v in cov.items():
-                coverage[k] = coverage.get(k, 0) + v
-    return failures, coverage
+        results = list(pool.map(_run_range, ranges))
+    return ([ce for fails, _ in results for ce in fails],
+            sum((cov for _, cov in results), Counter()))
 
 
 # ---------------------------------------------------------------------------
@@ -912,10 +874,6 @@ def _closed(e: core.Expr) -> bool:
     return True
 
 
-def _subtrees(e: core.Expr) -> list[core.Expr]:
-    return [n for n in core.walk(e) if n is not e]
-
-
 def shrink(ce: CounterExample, evaluator_cls=Evaluator) -> CounterExample:
     """Greedy shrink: replace the expression by a failing closed subtree and
     drop store tuples while the same property still fails. `ce` must be what
@@ -933,10 +891,10 @@ def shrink(ce: CounterExample, evaluator_cls=Evaluator) -> CounterExample:
     changed = True
     while changed and budget > 0:
         changed = False
-        for sub in _subtrees(instance.expr):
+        for sub in list(core.walk(instance.expr)):
             if budget <= 0:
                 break
-            if not _closed(sub):
+            if sub is instance.expr or not _closed(sub):
                 continue
             budget -= 1
             try:

@@ -39,9 +39,9 @@ class Diagnostic:
 
 
 def check_schema(schema: Schema) -> list[Diagnostic]:
-    """Schema well-formedness: referenced type names are declared, label kinds
-    sit on the right side of the object/link-property partition, and no bare
-    label name is used in both roles anywhere in the schema."""
+    """Schema well-formedness: referenced type names are declared, top-level
+    labels are object labels, and no bare label name is used both as an
+    object label and as a link property anywhere in the schema."""
     diags: list[Diagnostic] = []
     object_names: dict[str, str] = {}
     link_prop_names: dict[str, str] = {}
@@ -59,13 +59,9 @@ def check_schema(schema: Schema) -> list[Diagnostic]:
                     diags.append(
                         Diagnostic("UndefinedTypeName", path, f"link target {ty.target!r} is not declared")
                     )
+                # StoredRefType itself rejects a link property without `@`
                 for plbl, _ in ty.link_props:
-                    ppath = f"{path}.{plbl}"
-                    if not is_link_prop(plbl):
-                        diags.append(
-                            Diagnostic("LabelKindClash", ppath, "link property label expected")
-                        )
-                    link_prop_names.setdefault(bare(plbl), ppath)
+                    link_prop_names.setdefault(bare(plbl), f"{path}.{plbl}")
 
     for name, path in link_prop_names.items():
         if name in object_names:

@@ -4,6 +4,7 @@ hygiene."""
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -287,6 +288,24 @@ def test_fuzz_subcommand(capsys):
     assert "0 counter-example(s)" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv", [
+    ["--workers", "0"],
+    ["--workers", "-1"],
+    ["--workers", str((os.cpu_count() or 1) + 1)],
+    ["--cases", "-1"],
+])
+def test_fuzz_rejects_out_of_range_counts(monkeypatch, capsys, argv):
+    def no_run(*args, **kwargs):
+        raise AssertionError("run_fuzz reached")
+
+    # a missing bound fails here instead of starting worker processes
+    monkeypatch.setattr(cli.harness, "run_fuzz", no_run)
+    assert main(["fuzz", *argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_fuzz_writes_shrunk_counterexamples_that_replay(tmp_path, monkeypatch, capsys):
     from grql import core
     from grql.evaluator import Evaluator
@@ -421,6 +440,11 @@ def test_deep_queries_are_parse_errors(store_file, capsys, query):
     assert main(["run", str(store_file), query]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: expression nested more than") and err.count("\n") == 1
+
+
+def test_desugar_errors_point_at_the_source_span(store_file, capsys):
+    assert main(["run", str(store_file), "foo(1)"]) == 1
+    assert capsys.readouterr().err == "error: UnknownFunction at 0..6: unknown function 'foo'\n"
 
 
 def test_right_nested_coalesce_stops_at_the_size_bound(store_file, capsys):

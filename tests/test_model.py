@@ -17,6 +17,8 @@ from grql.model import (
     MANY,
     ONE,
     ObjVal,
+    ScalarType,
+    StoredRefType,
     StrVal,
     card_add,
     card_if_join,
@@ -179,3 +181,9 @@ def test_values_are_not_cross_type_equal():
 
     assert not seq_perm_eq([BoolVal(True)], [IntVal(1)])
     assert not seq_perm_eq([StrVal("1")], [IntVal(1)])
+
+
+def test_stored_ref_type_rejects_a_link_property_without_at():
+    # the one place the link-property label kind is enforced
+    with pytest.raises(ValueError, match="link property label expected"):
+        StoredRefType("T", (("z", (ScalarType.INT, ONE)),))
