@@ -7,6 +7,12 @@ threaded functionally left-to-right. Every sequence-producing step is only
 determined up to permutation: with no seed the evaluator uses the canonical
 order (concatenation order, store iteration in id-allocation order); with a
 seed each such step applies a seeded pseudo-random permutation.
+
+Because reads only ever see the initial store, they use two caches that the
+store builds lazily, at most once per store object: the per-type extents
+(`Store.extent`, read by type names) and the reverse-link index
+(`Store.backlinks`, read by `seek`). Writes make new store objects and never
+touch the initial one, so the caches need no updating during a query.
 """
 
 from __future__ import annotations
@@ -37,6 +43,7 @@ from .model import (
     scalar_type_of,
     vis,
 )
+from .surface import Span
 
 Environment = dict[str, ValueSeq]
 
@@ -47,13 +54,19 @@ FAULT_KINDS = (
 
 
 class EvalFault(Exception):
+    """A runtime fault. `Evaluator.run` sets `span` to the source span of the
+    innermost node with one that the fault passes through."""
+
     def __init__(self, kind: str, message: str):
         assert kind in FAULT_KINDS
         super().__init__(message)
         self.kind = kind
         self.message = message
+        self.span: Span | None = None
 
     def __str__(self) -> str:
+        if self.span is not None:
+            return f"{self.kind} at {self.span[0]}..{self.span[1]}: {self.message}"
         return f"{self.kind}: {self.message}"
 
 
@@ -109,23 +122,18 @@ def _stored_to_computed(v) -> ComputedValue:
 def seek(init_store: Store, type_name: TypeName, label: Label, target: EntityId) -> ValueSeq:
     """Reverse lookup: sources of the given type whose label links to the
     target id, each carrying that link's properties; one result per distinct
-    (source, link-property record) pair."""
+    (source, link-property record) pair. Reads the store's reverse-link
+    index, whose entries are in store scan order."""
     out: ValueSeq = []
-    for src_id, tup in init_store.tuples.items():
-        if tup.type_name != type_name:
+    src: EntityId | None = None
+    seen: list[dict] = []
+    for src_id, ref in init_store.backlinks(type_name, label).get(target, ()):
+        if src_id != src:
+            src, seen = src_id, []
+        if ref.link_props in seen:
             continue
-        seq = tup.record.get(label)
-        if seq is None:
-            continue
-        seen: list[dict] = []
-        for v in seq:
-            if isinstance(v, StoredRef) and v.id == target:
-                if any(v.link_props == prev for prev in seen):
-                    continue
-                seen.append(v.link_props)
-                out.append(
-                    ObjVal(src_id, {lbl: invis(list(s)) for lbl, s in v.link_props.items()})
-                )
+        seen.append(ref.link_props)
+        out.append(ObjVal(src_id, {lbl: invis(list(s)) for lbl, s in ref.link_props.items()}))
     return out
 
 
@@ -205,7 +213,12 @@ def order_by_keys(pairs: list[tuple[ComputedValue, ValueSeq]]) -> ValueSeq:
 
 
 class Evaluator:
-    """One evaluation session: fixed schema, config, and initial store."""
+    """One evaluation session: fixed schema, config, and initial store.
+
+    `run` is the only recursive entry point: it looks the node's method up in
+    `_DISPATCH` by constructor, and every method evaluates its children
+    through `self.run`, so a subclass or a wrapper of `run` sees every node.
+    """
 
     def __init__(self, schema: Schema, config: EvalConfig, init_store: Store):
         self.schema = schema
@@ -237,135 +250,163 @@ class Evaluator:
         return out
 
     def run(self, env: Environment, store: Store, e: core.Expr) -> tuple[ValueSeq, Store]:
-        match e:
-            case core.Var(name=n):
-                if n not in env:
-                    raise EvalFault("UnboundVar", f"unbound variable {n!r}")
-                return env[n], store
+        method = _DISPATCH.get(type(e))
+        if method is None:
+            raise TypeError(f"unknown core node {e!r}")
+        try:
+            return method(self, env, store, e)
+        except EvalFault as exc:
+            # the innermost node with a span names the fault's source
+            if exc.span is None:
+                exc.span = e.span
+            raise
 
-            case core.Prim(value=v):
-                return [v], store
+    def _var(self, env: Environment, store: Store, e: core.Var):
+        vals = env.get(e.name)
+        if vals is None:
+            raise EvalFault("UnboundVar", f"unbound variable {e.name!r}")
+        return vals, store
 
-            case core.Empty():
-                return [], store
+    def _prim(self, env: Environment, store: Store, e: core.Prim):
+        return [e.value], store
 
-            case core.Union(left=a, right=b):
-                wa, store = self.run(env, store, a)
-                wb, store = self.run(env, store, b)
-                return self.permute(wa + wb), store
+    def _empty(self, env: Environment, store: Store, e: core.Empty):
+        return [], store
 
-            case core.Name(type_name=n):
-                refs: ValueSeq = [
-                    ObjVal(id, {})
-                    for id, tup in self.init.tuples.items()
-                    if tup.type_name == n
-                ]
-                return self.permute(refs), store
+    def _union(self, env: Environment, store: Store, e: core.Union):
+        wa, store = self.run(env, store, e.left)
+        wb, store = self.run(env, store, e.right)
+        return self.permute(wa + wb), store
 
-            case core.Proj(subject=subj, label=lbl):
-                ws, store = self.run(env, store, subj)
-                out: ValueSeq = []
-                for w in ws:
-                    out.extend(project(self.init, lbl, w))
-                return self.permute(self._dedup(out)), store
+    def _name(self, env: Environment, store: Store, e: core.Name):
+        refs: ValueSeq = [ObjVal(id, {}) for id in self.init.extent(e.type_name)]
+        return self.permute(refs), store
 
-            case core.Backlink(subject=subj, label=lbl, type_name=n):
-                ws, store = self.run(env, store, subj)
-                out = []
-                for w in ws:
-                    if not isinstance(w, ObjVal):
-                        raise EvalFault("NotARef", "backlink subject must be an object")
-                    out.extend(seek(self.init, n, lbl, w.id))
-                return self.permute(self._dedup(out)), store
+    def _proj(self, env: Environment, store: Store, e: core.Proj):
+        ws, store = self.run(env, store, e.subject)
+        out: ValueSeq = []
+        for w in ws:
+            out.extend(project(self.init, e.label, w))
+        return self.permute(self._dedup(out)), store
 
-            case core.Shaping(subject=subj, binder=x, shape=shape):
-                ws, store = self.run(env, store, subj)
-                out = []
-                for w in ws:
-                    inner = {**env, x: [w]}
-                    record: dict[Label, ShapeEntry] = {}
-                    for lbl, expr in shape:
-                        vals, store = self.run(inner, store, expr)
-                        record[lbl] = vis(vals)
-                    out.append(record_extend(w, record))
-                return out, store
+    def _backlink(self, env: Environment, store: Store, e: core.Backlink):
+        ws, store = self.run(env, store, e.subject)
+        out: ValueSeq = []
+        for w in ws:
+            if not isinstance(w, ObjVal):
+                raise EvalFault("NotARef", "backlink subject must be an object")
+            out.extend(seek(self.init, e.type_name, e.label, w.id))
+        return self.permute(self._dedup(out)), store
 
-            case core.Call(fn=fn, args=args):
-                arg_vals = []
-                for a in args:
-                    vals, store = self.run(env, store, a)
-                    arg_vals.append(vals)
-                return self.permute(run_builtin(fn, arg_vals)), store
+    def _shaping(self, env: Environment, store: Store, e: core.Shaping):
+        ws, store = self.run(env, store, e.subject)
+        out: ValueSeq = []
+        for w in ws:
+            inner = {**env, e.binder: [w]}
+            record: dict[Label, ShapeEntry] = {}
+            for lbl, expr in e.shape:
+                vals, store = self.run(inner, store, expr)
+                record[lbl] = vis(vals)
+            out.append(record_extend(w, record))
+        return out, store
 
-            case core.If(cond=c, then_branch=t, else_branch=f):
-                wc, store = self.run(env, store, c)
-                if len(wc) != 1 or not isinstance(wc[0], BoolVal):
-                    raise EvalFault("Stuck", "condition did not produce a single boolean")
-                branch = t if wc[0].value else f
-                return self.run(env, store, branch)
+    def _call(self, env: Environment, store: Store, e: core.Call):
+        arg_vals = []
+        for a in e.args:
+            vals, store = self.run(env, store, a)
+            arg_vals.append(vals)
+        return self.permute(run_builtin(e.fn, arg_vals)), store
 
-            case core.With(bound=bd, binder=x, body=b):
-                vals, store = self.run(env, store, bd)
-                return self.run({**env, x: vals}, store, b)
+    def _if(self, env: Environment, store: Store, e: core.If):
+        wc, store = self.run(env, store, e.cond)
+        if len(wc) != 1 or not isinstance(wc[0], BoolVal):
+            raise EvalFault("Stuck", "condition did not produce a single boolean")
+        branch = e.then_branch if wc[0].value else e.else_branch
+        return self.run(env, store, branch)
 
-            case core.For(source=src, binder=x, body=b):
-                ws, store = self.run(env, store, src)
-                out = []
-                for w in ws:
-                    vals, store = self.run({**env, x: [w]}, store, b)
-                    out.extend(vals)
-                return self.permute(out), store
+    def _with(self, env: Environment, store: Store, e: core.With):
+        vals, store = self.run(env, store, e.bound)
+        return self.run({**env, e.binder: vals}, store, e.body)
 
-            case core.OrderBy(source=src, binder=x, key=k):
-                ws, store = self.run(env, store, src)
-                pairs = []
-                for w in ws:
-                    key_vals, store = self.run({**env, x: [w]}, store, k)
-                    pairs.append((w, key_vals))
-                return order_by_keys(pairs), store
+    def _for(self, env: Environment, store: Store, e: core.For):
+        ws, store = self.run(env, store, e.source)
+        x, body = e.binder, e.body
+        out: ValueSeq = []
+        for w in ws:
+            vals, store = self.run({**env, x: [w]}, store, body)
+            out.extend(vals)
+        return self.permute(out), store
 
-            case core.Insert(type_name=n, shape=shape):
-                decl = self.schema.decl(n)
-                if decl is None:
-                    raise EvalFault("Stuck", f"unknown type {n!r}")
-                computed: dict[Label, ValueSeq] = {}
-                for lbl, expr in shape:
-                    vals, store = self.run(env, store, expr)
-                    computed[lbl] = vals
-                record: dict[Label, StoredValueSeq] = {}
-                for lbl, (sty, _) in decl.labels.items():
-                    record[lbl] = strip_for_storage(computed[lbl], sty)
-                id = self.config.id_allocator.allocate()
-                assert self.init.get(id) is None and store.get(id) is None, "id not fresh"
-                store = store.with_tuple(id, StoreTuple(n, record))
-                shape_rec = {lbl: invis(computed[lbl]) for lbl in decl.labels}
-                return [ObjVal(id, shape_rec)], store
+    def _order_by(self, env: Environment, store: Store, e: core.OrderBy):
+        ws, store = self.run(env, store, e.source)
+        x, key = e.binder, e.key
+        pairs = []
+        for w in ws:
+            key_vals, store = self.run({**env, x: [w]}, store, key)
+            pairs.append((w, key_vals))
+        return order_by_keys(pairs), store
 
-            case core.Update(subject=subj, binder=x, shape=shape):
-                ws, store = self.run(env, store, subj)
-                if len(ws) != 1 or not isinstance(ws[0], ObjVal):
-                    raise EvalFault("Stuck", "update subject did not produce a single object")
-                w = ws[0]
-                inner = {**env, x: [w]}
-                computed = {}
-                for lbl, expr in shape:
-                    vals, store = self.run(inner, store, expr)
-                    computed[lbl] = vals
-                tup = store.get(w.id)
-                if tup is None or w.id in store.locked:
-                    # absent or already edited this query: the update is a no-op
-                    return [], store
-                decl = self.schema.decl(tup.type_name)
-                if decl is None:
-                    raise EvalFault("Stuck", f"unknown type {tup.type_name!r}")
-                record = dict(tup.record)
-                for lbl, _ in shape:
-                    sty, _card = decl.labels[lbl]
-                    record[lbl] = strip_for_storage(computed[lbl], sty)
-                store = store.with_tuple(w.id, StoreTuple(tup.type_name, record))
-                return [ObjVal(w.id, {lbl: invis(computed[lbl]) for lbl, _ in shape})], store
+    def _insert(self, env: Environment, store: Store, e: core.Insert):
+        n = e.type_name
+        decl = self.schema.decl(n)
+        if decl is None:
+            raise EvalFault("Stuck", f"unknown type {n!r}")
+        computed: dict[Label, ValueSeq] = {}
+        for lbl, expr in e.shape:
+            vals, store = self.run(env, store, expr)
+            computed[lbl] = vals
+        record: dict[Label, StoredValueSeq] = {}
+        for lbl, (sty, _) in decl.labels.items():
+            record[lbl] = strip_for_storage(computed[lbl], sty)
+        id = self.config.id_allocator.allocate()
+        assert self.init.get(id) is None and store.get(id) is None, "id not fresh"
+        store = store.with_tuple(id, StoreTuple(n, record))
+        shape_rec = {lbl: invis(computed[lbl]) for lbl in decl.labels}
+        return [ObjVal(id, shape_rec)], store
 
-        raise TypeError(f"unknown core node {e!r}")
+    def _update(self, env: Environment, store: Store, e: core.Update):
+        ws, store = self.run(env, store, e.subject)
+        if len(ws) != 1 or not isinstance(ws[0], ObjVal):
+            raise EvalFault("Stuck", "update subject did not produce a single object")
+        w = ws[0]
+        inner = {**env, e.binder: [w]}
+        computed: dict[Label, ValueSeq] = {}
+        for lbl, expr in e.shape:
+            vals, store = self.run(inner, store, expr)
+            computed[lbl] = vals
+        tup = store.get(w.id)
+        if tup is None or w.id in store.locked:
+            # absent or already edited this query: the update is a no-op
+            return [], store
+        decl = self.schema.decl(tup.type_name)
+        if decl is None:
+            raise EvalFault("Stuck", f"unknown type {tup.type_name!r}")
+        record = dict(tup.record)
+        for lbl, _ in e.shape:
+            sty, _card = decl.labels[lbl]
+            record[lbl] = strip_for_storage(computed[lbl], sty)
+        store = store.with_tuple(w.id, StoreTuple(tup.type_name, record))
+        return [ObjVal(w.id, {lbl: invis(computed[lbl]) for lbl, _ in e.shape})], store
+
+
+# One method per core constructor; `Evaluator.run` is the only caller.
+_DISPATCH = {
+    core.Var: Evaluator._var,
+    core.Prim: Evaluator._prim,
+    core.Empty: Evaluator._empty,
+    core.Union: Evaluator._union,
+    core.Name: Evaluator._name,
+    core.Proj: Evaluator._proj,
+    core.Backlink: Evaluator._backlink,
+    core.Shaping: Evaluator._shaping,
+    core.Call: Evaluator._call,
+    core.If: Evaluator._if,
+    core.With: Evaluator._with,
+    core.For: Evaluator._for,
+    core.OrderBy: Evaluator._order_by,
+    core.Insert: Evaluator._insert,
+    core.Update: Evaluator._update,
+}
 
 
 def evaluate(

@@ -600,7 +600,7 @@ def _gen_store(rng: random.Random, cfg: GenConfig, schema: Schema) -> Store:
         hi = 2 if card.hi == float("inf") else int(card.hi)
         return rng.randint(card.lo, max(card.lo, hi))
 
-    store = Store()
+    tuples: dict[str, StoreTuple] = {}
     for id, tname in zip(ids, assignment):
         record = {}
         for lbl, (sty, scard) in schema.types[tname].labels.items():
@@ -617,8 +617,8 @@ def _gen_store(rng: random.Random, cfg: GenConfig, schema: Schema) -> Store:
                 record[lbl] = cells
             else:
                 record[lbl] = [_random_scalar(rng, sty) for _ in range(n)]
-        store.tuples[id] = StoreTuple(tname, record)
-    return store
+        tuples[id] = StoreTuple(tname, record)
+    return Store(tuples)
 
 
 def gen_instance(cfg: GenConfig) -> Instance:

@@ -283,6 +283,10 @@ class StoreTuple:
     record: dict[Label, StoredValueSeq]
 
 
+# target id -> (source id, stored reference) pairs, in store scan order
+BacklinkIndex = dict[EntityId, list[tuple[EntityId, StoredRef]]]
+
+
 @dataclass
 class Store:
     """The world state, threaded functionally: a map from entity ids
@@ -292,21 +296,56 @@ class Store:
     current evaluation. Only `with_tuple` adds to it; a store at rest (a
     loaded snapshot, a session between queries, a saved file) has none.
     A store is persistent: its `tuples` dict is never mutated once handed out.
+
+    Two read caches are built lazily, at most once per store object: the
+    per-type extents (`extent`) and, per (type, label) pair, the reverse-link
+    index (`backlinks`). Because the tuples never change once the store is
+    shared, and a write makes a new store instead, the caches never need
+    updating. They take no part in construction, `repr` or equality.
     """
 
     tuples: dict[EntityId, StoreTuple] = field(default_factory=dict)
     locked: frozenset[EntityId] = frozenset()
+    _extents: dict[TypeName, list[EntityId]] | None = field(
+        default=None, init=False, repr=False, compare=False)
+    _backlinks: dict[tuple[TypeName, Label], BacklinkIndex] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def get(self, id: EntityId) -> StoreTuple | None:
         return self.tuples.get(id)
+
+    def extent(self, type_name: TypeName) -> list[EntityId]:
+        """The ids of one type, in id-allocation order (callers must not
+        mutate the list)."""
+        if self._extents is None:
+            extents: dict[TypeName, list[EntityId]] = {}
+            for id, tup in self.tuples.items():
+                extents.setdefault(tup.type_name, []).append(id)
+            self._extents = extents
+        return self._extents.get(type_name, [])
+
+    def backlinks(self, type_name: TypeName, label: Label) -> BacklinkIndex:
+        """For sources of `type_name`, each target id of a `label` link mapped
+        to its (source id, reference) pairs, sources in id-allocation order
+        and each source's references in sequence order."""
+        index = self._backlinks.get((type_name, label))
+        if index is None:
+            index = {}
+            for src_id in self.extent(type_name):
+                for v in self.tuples[src_id].record.get(label, ()):
+                    if isinstance(v, StoredRef):
+                        index.setdefault(v.id, []).append((src_id, v))
+            self._backlinks[(type_name, label)] = index
+        return index
 
     def with_tuple(self, id: EntityId, tup: StoreTuple) -> Store:
         """Functional update: a new store with `id` bound to `tup` and marked."""
         return Store({**self.tuples, id: tup}, self.locked | {id})
 
     def unlock_all(self) -> Store:
-        """The same tuples with every edit mark cleared."""
-        return Store(self.tuples)
+        """The same tuples with every edit mark cleared; the store itself,
+        with its caches, when it holds no marks."""
+        return Store(self.tuples) if self.locked else self
 
     def max_numeric_id(self) -> int:
         best = 0

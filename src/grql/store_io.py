@@ -108,13 +108,13 @@ def load_snapshot(text: str) -> LoadedSnapshot:
     if not isinstance(entities, list):
         diags.append(Diagnostic("BadSnapshot", "entities", "entities must be a list"))
         entities = []
-    store = Store()
+    tuples: dict[str, StoreTuple] = {}
     for i, ent in enumerate(entities):
         if not isinstance(ent, dict) or "id" not in ent or "type" not in ent:
             diags.append(Diagnostic("BadSnapshot", f"entities[{i}]", "entity needs id and type"))
             continue
         id = str(ent["id"])
-        if store.get(id) is not None:
+        if id in tuples:
             diags.append(Diagnostic("DuplicateId", f"#{id}", "entity id appears more than once"))
             continue
         fields = ent.get("fields", {})
@@ -133,8 +133,9 @@ def load_snapshot(text: str) -> LoadedSnapshot:
                 if v is not None:
                     seq.append(v)
             record[key] = seq
-        store.tuples[id] = StoreTuple(str(ent["type"]), record)
+        tuples[id] = StoreTuple(str(ent["type"]), record)
 
+    store = Store(tuples)
     if not diags:
         diags.extend(check_store(schema, store))
     if diags:

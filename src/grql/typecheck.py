@@ -55,16 +55,17 @@ class TypeCheckError(Exception):
         return f"{self.code}: {self.message}"
 
 
-def resolve_builtin(name: str, arg_types: list[ComputedType]) -> tuple[ComputedType, Cardinality]:
+def resolve_builtin(name: str, arg_types: list[ComputedType],
+                    span: Span | None = None) -> tuple[ComputedType, Cardinality]:
     """The result type and cardinality of the unique signature for this name
-    and argument type sequence."""
+    and argument type sequence; a `NoSignature` error carries `span`."""
     spec = REGISTRY.get(name)
     if spec is None or len(arg_types) != len(spec.modifiers):
-        raise TypeCheckError("NoSignature", f"no signature for {name}/{len(arg_types)}")
+        raise TypeCheckError("NoSignature", f"no signature for {name}/{len(arg_types)}", span)
     result = spec.resolve(arg_types)
     if result is None:
         shown = ", ".join(str(t) for t in arg_types)
-        raise TypeCheckError("NoSignature", f"no signature for {name}({shown})")
+        raise TypeCheckError("NoSignature", f"no signature for {name}({shown})", span)
     return result
 
 
@@ -167,7 +168,7 @@ def synth(schema: Schema, ctx: Context, e: core.Expr) -> tuple[ComputedType, Car
 
         case core.Call(fn=fn, args=args):
             arg_results = [synth(schema, ctx, a) for a in args]
-            result = resolve_builtin(fn, [t for t, _ in arg_results])
+            result = resolve_builtin(fn, [t for t, _ in arg_results], e.span)
             for i, ((_, m), mod) in enumerate(zip(arg_results, REGISTRY[fn].modifiers)):
                 bound = MODIFIER_CARD[mod]
                 if not card_le(m, bound):

@@ -457,3 +457,16 @@ def test_right_nested_coalesce_stops_at_the_size_bound(store_file, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: QueryTooLarge: query lowers to more than")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("query, line", [
+    ("9223372036854775807 + 1",
+     "error: BuiltinDomain at 0..23: integer overflow: 9223372036854775808\n"),
+    ('add(1, "a")', "error: NoSignature at 0..11: no signature for add(int, str)\n"),
+    ('1 + "a"', "error: NoSignature at 0..7: no signature for add(int, str)\n"),
+])
+def test_runtime_and_signature_errors_point_at_the_source_span(store_file, capsys, query, line):
+    assert main(["run", str(store_file), query]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == line
