@@ -34,7 +34,7 @@ from .store_io import (
     load_snapshot,
     save_snapshot,
 )
-from .surface import ParseError, format_expr
+from .surface import ParseError, QueryError, format_expr
 from .typecheck import TypeCheckError, synth
 from .wellformed import Diagnostic, check_schema, check_store, store_extends
 
@@ -42,6 +42,7 @@ __all__ = [
     "Cardinality", "Schema", "Store",
     "EMPTY", "AT_MOST_ONE", "MANY", "ONE", "AT_LEAST_ONE",
     "card_le", "card_add", "card_mul", "card_if_join", "seq_perm_eq",
+    "QueryError",
     "parse_query", "parse_schema", "format_expr", "ParseError",
     "DesugarError",
     "synth", "TypeCheckError",

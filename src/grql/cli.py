@@ -16,14 +16,14 @@ import sys
 from dataclasses import dataclass
 
 from . import core, harness
-from .desugar import DesugarError, desugar
-from .evaluator import EvalConfig, EvalFault, IdAllocator, evaluate
+from .desugar import desugar
+from .evaluator import EvalConfig, IdAllocator, evaluate
 from .model import Cardinality, ComputedType, Schema, Store
 from .parser import parse_query, parse_schema
 from .serialize import debug_print, serialize, to_json_text
 from .store_io import LoadedSnapshot, SnapshotError, load_snapshot, save_snapshot
-from .surface import ParseError
-from .typecheck import TypeCheckError, synth
+from .surface import ParseError, QueryError
+from .typecheck import synth
 from .wellformed import check_schema
 
 EXIT_OK = 0
@@ -39,6 +39,14 @@ def _env_seed() -> int | None:
         return int(raw)
     except ValueError:
         return None
+
+
+def typed_query(schema: Schema, text: str) -> tuple[core.Expr, ComputedType, Cardinality]:
+    """Parse, lower and check one query: its core term, type and cardinality.
+    Raises QueryError."""
+    expr = desugar(parse_query(text))
+    ty, card = synth(schema, {}, expr)
+    return expr, ty, card
 
 
 @dataclass
@@ -62,8 +70,7 @@ class Session:
     def run_query(self, text: str) -> tuple[object, ComputedType, Cardinality]:
         """Parse, lower, check, and evaluate one query against the session
         store; commits the new store to the session on success."""
-        expr = desugar(parse_query(text))
-        ty, card = synth(self.schema, {}, expr)
+        expr, ty, card = typed_query(self.schema, text)
         # load_snapshot starts next_id past every stored id; queries only advance it
         allocator = IdAllocator(self.next_id)
         config = EvalConfig(permutation_seed=self.seed, dedup_projections=self.dedup,
@@ -147,7 +154,7 @@ def cmd_run(args) -> int:
     session = Session.from_snapshot(snap, seed=args.seed, dedup=args.dedup, fmt=args.format)
     try:
         result, ty, card = session.run_query(_strip_query(args.query))
-    except (ParseError, DesugarError, TypeCheckError, EvalFault) as exc:
+    except QueryError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_QUERY_ERROR
 
@@ -183,12 +190,9 @@ def cmd_check(args) -> int:
 
     if args.query is not None:
         try:
-            ty, card = synth(schema, {}, desugar(parse_query(_strip_query(args.query))))
-        except (ParseError, DesugarError) as exc:
+            _, ty, card = typed_query(schema, _strip_query(args.query))
+        except QueryError as exc:
             print(f"error: {exc}", file=sys.stderr)
-            return EXIT_QUERY_ERROR
-        except TypeCheckError as exc:
-            print(exc, file=sys.stderr)
             return EXIT_QUERY_ERROR
         print(f"{ty} # {card}")
     return EXIT_OK
@@ -238,10 +242,9 @@ def cmd_repl(args, stdin=None, stdout=None) -> int:
                 emit(session.schema_text.rstrip("\n"))
             elif cmd == "\\type":
                 try:
-                    expr = desugar(parse_query(_strip_query(rest)))
-                    ty, card = synth(session.schema, {}, expr)
+                    _, ty, card = typed_query(session.schema, _strip_query(rest))
                     emit(f"{ty} # {card}")
-                except (ParseError, DesugarError, TypeCheckError) as exc:
+                except QueryError as exc:
                     emit(f"error: {exc}")
             elif cmd == "\\save":
                 _write_snapshot(args.store,
@@ -273,7 +276,7 @@ def cmd_repl(args, stdin=None, stdout=None) -> int:
             try:
                 result, ty, card = session.run_query(query)
                 emit(session.render(result, ty, card, pretty=True))
-            except (ParseError, DesugarError, TypeCheckError, EvalFault) as exc:
+            except QueryError as exc:
                 emit(f"error: {exc}")
         if not buffer.strip():
             buffer = ""

@@ -11,6 +11,8 @@ Every derived form is expanded here:
                             (with for *, for for 1, optional_for for ?)
   * update e set S       => for(e; y. update!(y) set x.S)
   * shorthand shapes     => already explicit entries after parsing
+  * identifier x         => the nearest enclosing with/for binder named x,
+                            otherwise the type name x
 
 Every binder in the output is a fresh '$k' name, so output binders are
 globally distinct and user shadowing disappears. Branch bodies that a derived
@@ -23,7 +25,7 @@ from . import core, surface
 from .builtins import REGISTRY, ParamModifier
 from .model import IntVal, ObjType
 from .parser import SCALAR_NAMES
-from .surface import Span
+from .surface import QueryError, Span
 
 # Most binders one query may lower to. The optional-parameter form lowers the
 # rest of a call once per branch, so each level of a right-nested `??` about
@@ -31,17 +33,9 @@ from .surface import Span
 MAX_BINDERS = 20_000
 
 
-class DesugarError(Exception):
-    def __init__(self, code: str, message: str, span: Span | None = None):
-        super().__init__(message)
-        self.code = code
-        self.message = message
-        self.span = span
-
-    def __str__(self) -> str:
-        if self.span is not None:
-            return f"{self.code} at {self.span[0]}..{self.span[1]}: {self.message}"
-        return f"{self.code}: {self.message}"
+class DesugarError(QueryError):
+    """An unknown function, a wrong argument count, or a query too large to
+    lower."""
 
 
 class _Desugarer:
@@ -72,10 +66,8 @@ class _Desugarer:
                     if implicit is None:
                         raise DesugarError("UnboundVar", "no implicit subject in scope", e.span)
                     return core.Var(implicit, span=e.span)
-                if n not in env:
-                    raise DesugarError("UnboundVar", f"unbound variable {n!r}", e.span)
-                return core.Var(env[n], span=e.span)
-            case surface.TypeRef(name=n):
+                if n in env:
+                    return core.Var(env[n], span=e.span)
                 return core.Name(n, span=e.span)
             case surface.Path(subject=s, label=lbl):
                 return core.Proj(self.lower(s, env, implicit), lbl, span=e.span)
@@ -86,8 +78,6 @@ class _Desugarer:
                 x = self.fresh()
                 shape = [(lbl, self.lower(v, env, x)) for lbl, v in entries]
                 return core.Shaping(subj, x, shape, span=e.span)
-            case surface.Select(subject=s):
-                return self.lower(s, env, implicit)
             case surface.Filter(subject=s, cond=c):
                 subj = self.lower(s, env, implicit)
                 x = self.fresh()

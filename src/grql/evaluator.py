@@ -18,7 +18,7 @@ touch the initial one, so the caches need no updating during a query.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import core
 from .builtins import REGISTRY, BuiltinDomainError
@@ -43,7 +43,7 @@ from .model import (
     scalar_type_of,
     vis,
 )
-from .surface import Span
+from .surface import QueryError
 
 Environment = dict[str, ValueSeq]
 
@@ -53,21 +53,13 @@ FAULT_KINDS = (
 )
 
 
-class EvalFault(Exception):
+class EvalFault(QueryError):
     """A runtime fault. `Evaluator.run` sets `span` to the source span of the
     innermost node with one that the fault passes through."""
 
-    def __init__(self, kind: str, message: str):
-        assert kind in FAULT_KINDS
-        super().__init__(message)
-        self.kind = kind
-        self.message = message
-        self.span: Span | None = None
-
-    def __str__(self) -> str:
-        if self.span is not None:
-            return f"{self.kind} at {self.span[0]}..{self.span[1]}: {self.message}"
-        return f"{self.kind}: {self.message}"
+    def __init__(self, code: str, message: str):
+        assert code in FAULT_KINDS
+        super().__init__(code, message)
 
 
 class IdAllocator:
@@ -90,7 +82,8 @@ class IdAllocator:
 class EvalConfig:
     permutation_seed: int | None = None
     dedup_projections: bool = False  # False reproduces the formal semantics
-    id_allocator: IdAllocator = field(default_factory=IdAllocator)
+    # None: allocate past every id in the initial store
+    id_allocator: IdAllocator | None = None
 
 
 @dataclass
@@ -224,6 +217,7 @@ class Evaluator:
         self.schema = schema
         self.config = config
         self.init = init_store
+        self.ids = config.id_allocator or IdAllocator.for_store(init_store)
         self.rng = (
             random.Random(config.permutation_seed)
             if config.permutation_seed is not None
@@ -358,7 +352,7 @@ class Evaluator:
         record: dict[Label, StoredValueSeq] = {}
         for lbl, (sty, _) in decl.labels.items():
             record[lbl] = strip_for_storage(computed[lbl], sty)
-        id = self.config.id_allocator.allocate()
+        id = self.ids.allocate()
         assert self.init.get(id) is None and store.get(id) is None, "id not fresh"
         store = store.with_tuple(id, StoreTuple(n, record))
         shape_rec = {lbl: invis(computed[lbl]) for lbl in decl.labels}

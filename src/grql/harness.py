@@ -23,7 +23,7 @@ from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
 
 from . import core
-from .evaluator import EvalConfig, EvalFault, Evaluator, IdAllocator
+from .evaluator import EvalConfig, EvalFault, Evaluator
 from .model import (
     ALL_CARDINALITIES,
     AT_LEAST_ONE,
@@ -55,15 +55,6 @@ from .parser import schema_to_source
 from .store_io import save_snapshot
 from .typecheck import extend_type, synth
 from .wellformed import check_schema, check_store, store_extends, type_computed_seq
-
-PROPERTIES = (
-    "totality",
-    "preservation",
-    "store-wellformed",
-    "extension",
-    "read-isolation",
-    "permutation-insensitivity",
-)
 
 # schema modes exclude [0,0]: it has no concrete syntax
 _SCHEMA_MODES = (AT_MOST_ONE, ONE, MANY, AT_LEAST_ONE)
@@ -728,8 +719,7 @@ def check_soundness(instance: Instance, eval_seeds: list[int],
     fingerprints: list[tuple[str, list[str]]] = []
 
     for seed in eval_seeds:
-        cfg = EvalConfig(permutation_seed=seed,
-                         id_allocator=IdAllocator.for_store(instance.store))
+        cfg = EvalConfig(permutation_seed=seed)
         ev = evaluator_cls(instance.schema, cfg, instance.store)
         try:
             result, after = ev.run({}, instance.store, instance.expr)
@@ -848,7 +838,7 @@ def replay_counterexample(text: str) -> CounterExample | None:
         doc = json.loads(text)
         cfg = GenConfig(seed=doc["seed"], **doc["config"])
         eval_seeds = doc["eval_seeds"]
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested to decode
         raise ValueError(f"not valid JSON: {exc}") from None
     except KeyError as exc:
         raise ValueError(f"counter-example file has no {exc} key") from None

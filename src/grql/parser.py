@@ -52,6 +52,10 @@ _FLAG_CARDS = {(False, False): AT_MOST_ONE, (True, False): ONE,
 # keeps every accepted query inside Python's default recursion limit.
 MAX_DEPTH = 64
 
+# Binary operators, loosest level first: each symbol's built-in, and whether
+# the level repeats (`a + b + c`) or takes one operator at most (`a = b`).
+_BINARY = (({"??": "coalesce"}, True), ({"=": "eq", "<": "lt"}, False), ({"+": "add"}, True))
+
 _SYMBOLS = (":=", ".<", "??", "{", "}", "(", ")", "[", "]", ",", ";",
             ":", ".", "<", ">", "=", "+", "-", "@")
 
@@ -133,7 +137,6 @@ class _Parser:
     def __init__(self, text: str):
         self.toks = tokenize(text)
         self.pos = 0
-        self.scopes: list[str] = []       # explicit binder names in scope
         self.implicit_depth = 0           # nesting of implicit-subject contexts
         self.depth = 0                    # nesting so far, bounded by MAX_DEPTH
 
@@ -206,53 +209,39 @@ class _Parser:
     def parse_chain(self) -> s.SurfaceExpr:
         self.nest(self.peek().span)
         start = self.peek().span[0]
-        e = self.parse_coalesce()
+        e = self.parse_binary()
         while True:
             if tok := self.accept("kw:filter"):
                 self.nest(tok.span)
                 self.implicit_depth += 1
-                cond = self.parse_coalesce()
+                cond = self.parse_binary()
                 self.implicit_depth -= 1
                 e = s.Filter(e, cond, span=(start, self.prev_end()))
             elif self.at("kw:order"):
                 self.nest(self.advance().span)
                 self.expect("kw:by", "'by'")
                 self.implicit_depth += 1
-                key = self.parse_coalesce()
+                key = self.parse_binary()
                 self.implicit_depth -= 1
                 e = s.OrderBy(e, key, span=(start, self.prev_end()))
             else:
                 return e
 
-    def parse_coalesce(self) -> s.SurfaceExpr:
+    def parse_binary(self, level: int = 0) -> s.SurfaceExpr:
+        """One level of `_BINARY` and everything tighter: each operator is
+        sugar for a call of two arguments, grouped to the left."""
+        if level == len(_BINARY):
+            return self.parse_postfix()
+        ops, repeats = _BINARY[level]
         start = self.peek().span[0]
-        e = self.parse_comparison()
-        while tok := self.accept("??"):
+        e = self.parse_binary(level + 1)
+        while self.peek().kind in ops:
+            tok = self.advance()
             self.nest(tok.span)
-            rhs = self.parse_comparison()
-            e = s.Call("coalesce", [e, rhs], span=(start, self.prev_end()))
-        return e
-
-    def parse_comparison(self) -> s.SurfaceExpr:
-        start = self.peek().span[0]
-        e = self.parse_additive()
-        if tok := self.accept("="):
-            self.nest(tok.span)
-            rhs = self.parse_additive()
-            return s.Call("eq", [e, rhs], span=(start, self.prev_end()))
-        if tok := self.accept("<"):
-            self.nest(tok.span)
-            rhs = self.parse_additive()
-            return s.Call("lt", [e, rhs], span=(start, self.prev_end()))
-        return e
-
-    def parse_additive(self) -> s.SurfaceExpr:
-        start = self.peek().span[0]
-        e = self.parse_postfix()
-        while tok := self.accept("+"):
-            self.nest(tok.span)
-            rhs = self.parse_postfix()
-            e = s.Call("add", [e, rhs], span=(start, self.prev_end()))
+            rhs = self.parse_binary(level + 1)
+            e = s.Call(ops[tok.kind], [e, rhs], span=(start, self.prev_end()))
+            if not repeats:
+                break
         return e
 
     def parse_postfix(self) -> s.SurfaceExpr:
@@ -383,7 +372,7 @@ class _Parser:
             return s.Path(s.Var(s.IMPLICIT), lbl, span=(start, self.prev_end()))
         if tok.kind == "kw:select":
             self.advance()
-            return s.Select(self.parse_expr(), span=(start, self.prev_end()))
+            return self.parse_expr()
         if tok.kind == "kw:with":
             return self.parse_with()
         if tok.kind == "kw:for":
@@ -415,9 +404,7 @@ class _Parser:
                         call_args.append(self.sibling(base, self.parse_expr))
                 self.expect(")")
                 return s.Call(tok.text, call_args, span=(start, self.prev_end()))
-            if tok.text in self.scopes:
-                return s.Var(tok.text, span=tok.span)
-            return s.TypeRef(tok.text, span=tok.span)
+            return s.Var(tok.text, span=tok.span)
         raise ParseError(f"unexpected {tok.kind} {tok.text!r}", tok.span, expected="an expression")
 
     def parse_set_literal(self) -> s.SurfaceExpr:
@@ -441,14 +428,10 @@ class _Parser:
             name = self.expect("ident", "binder name").text
             self.expect(":=", "':='")
             bindings.append((name, self.parse_chain()))
-            self.scopes.append(name)  # visible to later bindings and the body
             if not self.accept(","):
                 break
         self.expect("kw:select", "'select' after with-bindings")
-        body = self.parse_expr()
-        for _ in bindings:
-            self.scopes.pop()
-        e = body
+        e = self.parse_expr()
         for name, bound in reversed(bindings):
             e = s.With(name, bound, e, span=(start, self.prev_end()))
         return e
@@ -459,9 +442,7 @@ class _Parser:
         self.expect("kw:in", "'in'")
         source = self.parse_chain()
         self.expect("kw:union", "'union' separating the loop body")
-        self.scopes.append(name)
         body = self.parse_expr()
-        self.scopes.pop()
         return s.For(name, source, body, span=(start, self.prev_end()))
 
     def parse_if(self) -> s.SurfaceExpr:

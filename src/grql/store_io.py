@@ -90,7 +90,7 @@ def load_snapshot(text: str) -> LoadedSnapshot:
     diagnostic found."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested to decode
         raise SnapshotError([Diagnostic("BadSnapshot", "-", f"not valid JSON: {exc}")]) from None
     if not isinstance(doc, dict) or doc.get("v") != FORMAT_VERSION:
         raise SnapshotError([Diagnostic("BadSnapshot", "-", f"missing or unsupported format version (need v={FORMAT_VERSION})")])

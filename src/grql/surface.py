@@ -1,4 +1,4 @@
-"""Surface abstract syntax, parse errors, and the canonical printer.
+"""Surface abstract syntax, query errors, and the canonical printer.
 
 The surface AST is what the parser produces; it still contains derived forms
 (filter, order by, if, lifted calls, shapes with shorthands already expanded
@@ -18,11 +18,27 @@ Span = tuple[int, int]
 IMPLICIT = "."
 
 
-class ParseError(Exception):
-    def __init__(self, message: str, span: Span, expected: str = ""):
+class QueryError(Exception):
+    """An error in a query at any stage of the front end or the evaluator,
+    printed as `Code at a..b: message`, or `Code: message` without a span."""
+
+    def __init__(self, code: str, message: str, span: Span | None = None):
         super().__init__(message)
+        self.code = code
         self.message = message
         self.span = span
+
+    def __str__(self) -> str:
+        if self.span is None:
+            return f"{self.code}: {self.message}"
+        return f"{self.code} at {self.span[0]}..{self.span[1]}: {self.message}"
+
+
+class ParseError(QueryError):
+    """A lexing or parsing error; prints as `message (at a..b; expected …)`."""
+
+    def __init__(self, message: str, span: Span, expected: str = ""):
+        super().__init__("ParseError", message, span)
         self.expected = expected
 
     def __str__(self) -> str:
@@ -56,11 +72,9 @@ class EmptyCast(SurfaceExpr):
 
 @dataclass
 class Var(SurfaceExpr):
-    name: str
+    """A bare identifier: the desugarer resolves it to a `with`/`for` binder
+    in scope, or else to a type name."""
 
-
-@dataclass
-class TypeRef(SurfaceExpr):
     name: str
 
 
@@ -81,11 +95,6 @@ class Backlink(SurfaceExpr):
 class Shape(SurfaceExpr):
     subject: SurfaceExpr
     entries: list[tuple[Label, SurfaceExpr]]
-
-
-@dataclass
-class Select(SurfaceExpr):
-    subject: SurfaceExpr
 
 
 @dataclass
@@ -149,7 +158,7 @@ _STMT, _CHAIN, _OPERAND, _POSTFIX, _PRIMARY = 0, 1, 2, 3, 4
 
 def _level(e: SurfaceExpr) -> int:
     match e:
-        case Select() | With() | For() | If():
+        case With() | For() | If():
             return _STMT
         case Filter() | OrderBy():
             return _CHAIN
@@ -200,8 +209,6 @@ def _fmt_bare(e: SurfaceExpr) -> str:
             if n == IMPLICIT:
                 raise ValueError("implicit subject cannot be printed outside a projection")
             return n
-        case TypeRef(name=n):
-            return n
         case Path(subject=Var(name=n), label=lbl) if n == IMPLICIT:
             return f".{lbl}"
         case Path(subject=s, label=lbl):
@@ -212,8 +219,6 @@ def _fmt_bare(e: SurfaceExpr) -> str:
             if not entries:
                 return f"{_fmt(s, _POSTFIX)} {{}}"
             return f"{_fmt(s, _POSTFIX)} {{ {_entries_text(entries)} }}"
-        case Select(subject=s):
-            return f"select {_fmt(s, _STMT)}"
         case Filter(subject=s, cond=c):
             return f"{_fmt(s, _CHAIN)} filter {_fmt(c, _OPERAND)}"
         case OrderBy(subject=s, key=k):

@@ -30,7 +30,7 @@ from .model import (
     scalar_type_of,
     stored_to_computed_type,
 )
-from .surface import Span
+from .surface import QueryError, Span
 
 Context = dict[str, tuple[ComputedType, Cardinality]]
 
@@ -41,18 +41,10 @@ ERROR_CODES = (
 )
 
 
-class TypeCheckError(Exception):
+class TypeCheckError(QueryError):
     def __init__(self, code: str, message: str, span: Span | None = None):
         assert code in ERROR_CODES
-        super().__init__(message)
-        self.code = code
-        self.message = message
-        self.span = span
-
-    def __str__(self) -> str:
-        if self.span is not None:
-            return f"{self.code} at {self.span[0]}..{self.span[1]}: {self.message}"
-        return f"{self.code}: {self.message}"
+        super().__init__(code, message, span)
 
 
 def resolve_builtin(name: str, arg_types: list[ComputedType],

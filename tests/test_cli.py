@@ -43,6 +43,27 @@ def test_run_running_example(store_file, capsys):
     ]
 
 
+DEEP_JSON = '{"v": 1, "entities": ' + "[" * 100_000  # too deep for json.loads
+
+
+@pytest.mark.parametrize("command", ["run", "check"])
+def test_deeply_nested_snapshot_is_a_diagnostic(tmp_path, capsys, command):
+    path = tmp_path / "deep.grdb.json"
+    path.write_text(DEEP_JSON, encoding="utf-8")
+    argv = [command, str(path)] + (["count(Movie)"] if command == "run" else [])
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("BadSnapshot - not valid JSON: ")
+
+
+def test_fuzz_replay_of_deeply_nested_json_exits_2(tmp_path, capsys):
+    path = tmp_path / "counterexample-1.json"
+    path.write_text(DEEP_JSON, encoding="utf-8")
+    assert main(["fuzz", "--replay", str(path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: not valid JSON: ")
+
+
 def test_run_count(store_file, capsys):
     assert main(["run", str(store_file), "count(Movie)"]) == 0
     assert capsys.readouterr().out.strip() == "3"
@@ -202,8 +223,7 @@ def test_check_query_prints_type(store_file, capsys):
     assert main(["check", str(store_file), "--query", "Movie.directors"]) == 0
     assert capsys.readouterr().out.strip() == "Person { } # [0, inf]"
     assert main(["check", str(store_file), "--query", "Movie.rating"]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("NoSuchLabel") and "at " in err
+    assert capsys.readouterr().err == "error: NoSuchLabel at 0..12: Movie has no label rating\n"
 
 
 def test_repl_session(store_file, capsys):

@@ -187,6 +187,16 @@ def test_user_shadowing_is_renamed_apart():
     assert e.body.body == core.Var(e.body.binder)
 
 
+def test_identifiers_resolve_to_binders_then_type_names():
+    # a binder shadows the type of the same name, in its body only
+    e = lower("with Movie := 1 select Movie")
+    assert e.body == core.Var(e.binder)
+    e = lower("for x in x union x")
+    assert e.source == core.Name("x") and e.body == core.Var(e.binder)
+    e = lower("with x := 1, y := x select Person")
+    assert e.body.bound == core.Var(e.binder) and e.body.body == core.Name("Person")
+
+
 def test_unknown_function():
     with pytest.raises(DesugarError) as err:
         lower("frobnicate(1)")

@@ -250,7 +250,7 @@ def test_strip_missing_required_link_prop_faults():
     ty = StoredRefType("Person", ((CHAR, (ScalarType.STR, ONE)),))
     with pytest.raises(EvalFault) as err:
         strip_for_storage([ObjVal("2", {})], ty)
-    assert err.value.kind == "MissingLinkProp"
+    assert err.value.code == "MissingLinkProp"
     # a lower bound of zero tolerates the absence and stores an empty sequence
     lax = StoredRefType("Person", ((CHAR, (ScalarType.STR, AT_MOST_ONE)),))
     assert strip_for_storage([ObjVal("2", {})], lax) == [StoredRef("2", {CHAR: []})]
@@ -279,7 +279,7 @@ def test_eq_on_refs_compares_ids_only():
 def test_add_overflow_faults():
     with pytest.raises(EvalFault) as err:
         run_builtin("add", [[IntVal(2**62)], [IntVal(2**62)]])
-    assert err.value.kind == "BuiltinDomain"
+    assert err.value.code == "BuiltinDomain"
 
 
 def test_order_by_keys():
@@ -392,6 +392,14 @@ def test_mutation_inside_shape_threads_store(seed_snapshot):
     assert len(new) == 3
 
 
+def test_default_config_allocates_past_the_initial_store(seed_snapshot):
+    expr = desugar(parse_query('insert Person { name := "N", age := 1, born := <str>{} }'))
+    out = evaluate(seed_snapshot.schema, EvalConfig(), {}, seed_snapshot.store, expr)
+    (w,) = out.result
+    assert w.id == str(seed_snapshot.store.max_numeric_id() + 1)
+    assert w.id not in seed_snapshot.store.tuples
+
+
 def test_zero_label_type_end_to_end():
     from grql.model import Store
     from grql.store_io import load_snapshot, save_snapshot
@@ -440,7 +448,7 @@ def test_defensive_faults_on_untyped_inputs(seed_snapshot):
         with pytest.raises(EvalFault) as err:
             evaluate(seed_snapshot.schema, cfg(), env or {},
                      seed_snapshot.store, e)
-        return err.value.kind
+        return err.value.code
 
     assert fault(core.Var("ghost")) == "UnboundVar"
     assert fault(core.Proj(core.Prim(IntVal(1)), TITLE)) == "NotARef"

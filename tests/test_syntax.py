@@ -3,7 +3,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from grql import surface as s
+from grql import core, surface as s
+from grql.desugar import desugar
 from grql.model import (
     AT_LEAST_ONE,
     AT_MOST_ONE,
@@ -93,11 +94,10 @@ def test_duplicate_link_property_reported():
 
 
 def test_select_shape_shorthand():
-    e = parse_query("select Movie { title, year }")
-    assert isinstance(e, s.Select)
-    shape = e.subject
-    assert isinstance(shape, s.Shape)
-    assert isinstance(shape.subject, s.TypeRef) and shape.subject.name == "Movie"
+    shape = parse_query("select Movie { title, year }")
+    assert isinstance(shape, s.Shape)  # `select` is inert and leaves no node
+    assert shape.subject == s.Var("Movie")
+    assert desugar(shape.subject) == core.Name("Movie")
     labels = [str(lbl) for lbl, _ in shape.entries]
     assert labels == ["title", "year"]
     for lbl, entry in shape.entries:
@@ -147,8 +147,9 @@ def test_string_escapes():
 
 
 def test_keywords_case_insensitive_identifiers_not():
-    assert isinstance(parse_query("SELECT Movie"), s.Select)
-    assert parse_query("movie") == s.TypeRef("movie")
+    assert parse_query("SELECT Movie") == s.Var("Movie")
+    assert parse_query("movie") == s.Var("movie")
+    assert desugar(parse_query("movie")) == core.Name("movie")  # an unbound name is a type
     assert parse_query("TRUE") == s.ScalarLit(BoolVal(True))
 
 
@@ -181,7 +182,7 @@ def test_infix_operators():
 
 def test_format_examples():
     assert format_expr(s.SetLit([s.ScalarLit(IntVal(n)) for n in (2, 3, 4)])) == "{2, 3, 4}"
-    assert format_expr(s.Path(s.TypeRef("Movie"), olabel("title"))) == "Movie.title"
+    assert format_expr(s.Path(s.Var("Movie"), olabel("title"))) == "Movie.title"
     assert format_expr(s.Backlink(s.Var("x"), olabel("directors"), "Movie")) == "x.<directors[is Movie]"
 
 
@@ -198,7 +199,7 @@ def _exprs(bound: tuple[str, ...], implicit: bool, depth: int):
         st.builds(s.ScalarLit, st.builds(StrVal, st.text(alphabet="ab\"\\\n", max_size=4))),
         st.builds(s.ScalarLit, st.builds(BoolVal, st.booleans())),
         st.builds(s.EmptyCast, st.sampled_from(["int", "str", "bool", "Person"])),
-        st.builds(s.TypeRef, _names),
+        st.builds(s.Var, _names),
     ]
     if bound:
         leaves.append(st.builds(s.Var, st.sampled_from(sorted(bound))))
@@ -217,7 +218,6 @@ def _exprs(bound: tuple[str, ...], implicit: bool, depth: int):
         st.lists(sub, min_size=1, max_size=3).map(s.SetLit),
         st.builds(s.Path, sub, _labels),
         st.builds(s.Backlink, sub, st.just(olabel("directors")), _names),
-        st.builds(s.Select, sub),
         st.builds(s.Call, st.sampled_from(["count", "eq", "coalesce"]),
                   st.lists(sub, min_size=1, max_size=2)),
         st.builds(s.If, sub, sub, sub),
