@@ -93,6 +93,28 @@ def _strip_query(text: str) -> str:
     return text
 
 
+def _query_end(text: str) -> int:
+    """The index of the first `;` outside a string literal and a `#`
+    comment, or -1 when the text holds no complete query yet."""
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch == ";":
+            return i
+        if ch == "#":
+            i = text.find("\n", i)
+            if i < 0:
+                return -1
+        elif ch == '"':
+            i += 1
+            while i < n and text[i] != '"':
+                i += 2 if text[i] == "\\" else 1
+            if i >= n:
+                return -1
+        i += 1
+    return -1
+
+
 def _write_snapshot(path: str, text: str) -> None:
     """Replace the snapshot at `path` atomically: the text goes to `<path>.tmp`,
     is flushed and fsynced, and is renamed over `path`, so a failed write
@@ -269,8 +291,8 @@ def cmd_repl(args, stdin=None, stdout=None) -> int:
             continue
 
         buffer += line
-        while ";" in buffer:
-            query, _, buffer = buffer.partition(";")
+        while (end := _query_end(buffer)) >= 0:
+            query, buffer = buffer[:end], buffer[end + 1:]
             if not query.strip():
                 continue
             try:

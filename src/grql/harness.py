@@ -52,6 +52,7 @@ from .model import (
     llabel,
 )
 from .parser import schema_to_source
+from .serialize import to_json_text
 from .store_io import save_snapshot
 from .typecheck import extend_type, synth
 from .wellformed import check_schema, check_store, store_extends, type_computed_seq
@@ -826,7 +827,7 @@ def counterexample_to_json(ce: CounterExample) -> str:
                                   inst.store.max_numeric_id() + 1),
         "expr": core.to_text(inst.expr),
     }
-    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+    return to_json_text(doc, pretty=True) + "\n"
 
 
 def replay_counterexample(text: str) -> CounterExample | None:

@@ -139,15 +139,16 @@ class BoolVal:
 ScalarValue = IntVal | StrVal | BoolVal
 
 
+# the scalar type of each scalar value class; any other value has none
+SCALAR_TYPES: dict[type, ScalarType] = {
+    BoolVal: ScalarType.BOOL, IntVal: ScalarType.INT, StrVal: ScalarType.STR}
+
+
 def scalar_type_of(v: ScalarValue) -> ScalarType:
-    match v:
-        case BoolVal():
-            return ScalarType.BOOL
-        case IntVal():
-            return ScalarType.INT
-        case StrVal():
-            return ScalarType.STR
-    raise TypeError(f"not a scalar value: {v!r}")
+    ty = SCALAR_TYPES.get(type(v))
+    if ty is None:
+        raise TypeError(f"not a scalar value: {v!r}")
+    return ty
 
 
 # ---------------------------------------------------------------------------
@@ -169,9 +170,6 @@ class StoredRefType:
             if lbl in seen:
                 raise ValueError(f"duplicate link property {lbl}")
             seen.add(lbl)
-
-    def prop_map(self) -> dict[Label, tuple[ScalarType, Cardinality]]:
-        return dict(self.link_props)
 
 
 StoredType = ScalarType | StoredRefType

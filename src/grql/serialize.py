@@ -11,6 +11,7 @@ reads the store.
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring
 
 from .model import (
     BoolVal,
@@ -71,10 +72,61 @@ def serialize_one(w: ComputedValue, ty: ComputedType) -> JsonValue:
 
 def to_json_text(value: JsonValue, pretty: bool = False) -> str:
     """Canonical JSON text: UTF-8, no insignificant whitespace in machine
-    mode, two-space indentation in pretty mode; key order is kept as built."""
+    mode, two-space indentation in pretty mode; key order is kept as built.
+
+    Pretty text is exactly `json.dumps(value, indent=2, ensure_ascii=False)`,
+    but written here: `indent` turns off `json`'s C encoder, and its
+    pure-Python one is several times slower than this writer."""
     if pretty:
-        return json.dumps(value, indent=2, ensure_ascii=False)
+        out: list[str] = []
+        _write_pretty(value, "\n", out)
+        return "".join(out)
     return json.dumps(value, separators=(",", ":"), ensure_ascii=False)
+
+
+_SCALAR_TEXT = {None: "null", True: "true", False: "false"}
+
+
+def _write_pretty(v, newline: str, out: list[str]) -> None:
+    """Append v's pretty text to out; `newline` is a line break followed by
+    the indentation of the line v starts on. Strings and keys are escaped by
+    the same C function `json.dumps` uses when `ensure_ascii` is off, which
+    raises `TypeError` for a key that is not a str."""
+    t = type(v)
+    if t is str:
+        out.append(encode_basestring(v))
+    elif t is int:
+        out.append(int.__repr__(v))
+    elif t is dict:
+        if not v:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, x in v.items():
+            out.append(sep)
+            out.append(encode_basestring(key))
+            out.append(": ")
+            _write_pretty(x, inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif t is list:
+        if not v:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for x in v:
+            out.append(sep)
+            _write_pretty(x, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif t is bool or v is None:
+        out.append(_SCALAR_TEXT[v])
+    elif t is float:
+        out.append(json.dumps(v))
+    else:
+        raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
 
 
 def debug_print(vals: ValueSeq) -> str:

@@ -27,6 +27,7 @@ from .model import (
     llabel,
 )
 from .parser import parse_schema
+from .serialize import to_json_text
 from .surface import ParseError
 from .wellformed import Diagnostic, check_schema, check_store
 
@@ -59,6 +60,9 @@ def _cell_to_value(cell, path: str, diags: list[Diagnostic]):
     if isinstance(cell, str):
         return StrVal(cell)
     if isinstance(cell, dict) and "ref" in cell:
+        if not isinstance(cell["ref"], str):
+            diags.append(Diagnostic("BadCell", path, "reference id must be a string"))
+            return None
         cell_props = cell.get("props", {})
         if not isinstance(cell_props, dict):
             diags.append(Diagnostic("BadCell", path, "link properties must be an object"))
@@ -80,7 +84,7 @@ def _cell_to_value(cell, path: str, diags: list[Diagnostic]):
                 diags.append(Diagnostic("BadCell", f"{path}.{lbl}", "link property given twice"))
                 continue
             props[lbl] = vals
-        return StoredRef(str(cell["ref"]), props)
+        return StoredRef(cell["ref"], props)
     diags.append(Diagnostic("BadCell", path, f"unrecognized cell {cell!r}"))
     return None
 
@@ -113,7 +117,10 @@ def load_snapshot(text: str) -> LoadedSnapshot:
         if not isinstance(ent, dict) or "id" not in ent or "type" not in ent:
             diags.append(Diagnostic("BadSnapshot", f"entities[{i}]", "entity needs id and type"))
             continue
-        id = str(ent["id"])
+        id = ent["id"]
+        if not isinstance(id, str):
+            diags.append(Diagnostic("BadSnapshot", f"entities[{i}]", "entity id must be a string"))
+            continue
         if id in tuples:
             diags.append(Diagnostic("DuplicateId", f"#{id}", "entity id appears more than once"))
             continue
@@ -176,7 +183,7 @@ def save_snapshot(schema_text: str, store: Store, next_id: int) -> str:
         for id, tup in store.tuples.items()
     ]
     doc = {"v": FORMAT_VERSION, "schema": schema_text, "nextId": next_id, "entities": entities}
-    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+    return to_json_text(doc, pretty=True) + "\n"
 
 
 def seed_snapshot_text() -> str:

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .model import (
+    SCALAR_TYPES,
     Cardinality,
     ComputedType,
     ObjVal,
@@ -24,7 +25,6 @@ from .model import (
     ValueSeq,
     bare,
     is_link_prop,
-    scalar_type_of,
 )
 
 
@@ -86,9 +86,10 @@ def type_stored_seq(
     """Stored-value sequence typing: length within the mode and every element
     typed against ty. Reference elements must resolve in the store with the
     right target type and carry exactly the declared link properties. This is
-    check_store's per-value judgment, so the two cannot disagree."""
-    return m.admits(len(vals)) and not any(
-        _stored_value_diags(schema, store, v, ty, "") for v in vals)
+    check_store's per-sequence judgment, so the two cannot disagree."""
+    diags: list[Diagnostic] = []
+    _check_seq(store, vals, ty, m, "", diags)
+    return not diags
 
 
 def check_store(schema: Schema, store: Store) -> list[Diagnostic]:
@@ -98,61 +99,70 @@ def check_store(schema: Schema, store: Store) -> list[Diagnostic]:
     diags: list[Diagnostic] = []
     for id, tup in store.tuples.items():
         decl = schema.decl(tup.type_name)
-        where = f"#{id}"
         if decl is None:
-            diags.append(Diagnostic("UnknownType", where, f"type {tup.type_name!r} is not declared"))
+            diags.append(Diagnostic("UnknownType", f"#{id}", f"type {tup.type_name!r} is not declared"))
             continue
-        for lbl in decl.labels:
-            if lbl not in tup.record:
-                diags.append(Diagnostic("MissingLabel", f"{where}.{lbl}", "label required by schema is absent"))
-        for lbl in tup.record:
-            if lbl not in decl.labels:
-                diags.append(Diagnostic("ExtraLabel", f"{where}.{lbl}", "label not declared in schema"))
-        for lbl, (ty, card) in decl.labels.items():
-            if lbl not in tup.record:
+        labels, record = decl.labels, tup.record
+        if record.keys() != labels.keys():
+            for lbl in labels:
+                if lbl not in record:
+                    diags.append(Diagnostic("MissingLabel", f"#{id}.{lbl}", "label required by schema is absent"))
+            for lbl in record:
+                if lbl not in labels:
+                    diags.append(Diagnostic("ExtraLabel", f"#{id}.{lbl}", "label not declared in schema"))
+        for lbl, (ty, card) in labels.items():
+            seq = record.get(lbl)
+            if seq is not None:
+                _check_seq(store, seq, ty, card, f"#{id}.{lbl}", diags)
+    return diags
+
+
+def _check_seq(store: Store, seq: StoredValueSeq, ty: StoredType, card: Cardinality,
+               path: str, diags: list[Diagnostic]) -> None:
+    """Append the diagnostics of one stored sequence against (ty, card) to
+    diags. A well-typed sequence allocates nothing: scalar types come from a
+    lookup on the value's class, and a reference's link properties are read
+    straight from the declared tuple."""
+    if not card.admits(len(seq)):
+        diags.append(Diagnostic("CardinalityViolation", path, f"{len(seq)} values, mode {card}"))
+    if type(ty) is ScalarType:
+        for v in seq:
+            if SCALAR_TYPES.get(type(v)) is not ty:
+                diags.append(Diagnostic("ValueTypeMismatch", path, f"expected {ty}"))
+        return
+    for v in seq:
+        if type(v) is not StoredRef:
+            diags.append(Diagnostic("ValueTypeMismatch", path, f"expected reference to {ty.target}"))
+            continue
+        tup = store.get(v.id)
+        if tup is None:
+            diags.append(Diagnostic("DanglingRef", path, f"id {v.id!r} not present in store"))
+            continue
+        if tup.type_name != ty.target:
+            diags.append(Diagnostic(
+                "ValueTypeMismatch", path, f"id {v.id!r} has type {tup.type_name}, expected {ty.target}"))
+            continue
+        props = v.link_props
+        first = len(diags)
+        present = 0
+        for plbl, (pty, pcard) in ty.link_props:
+            pseq = props.get(plbl)
+            if pseq is None:
+                diags.append(Diagnostic("MissingLabel", f"{path}.{plbl}", "declared link property is absent"))
                 continue
-            seq = tup.record[lbl]
-            path = f"{where}.{lbl}"
-            if not card.admits(len(seq)):
-                diags.append(
-                    Diagnostic("CardinalityViolation", path, f"{len(seq)} values, mode {card}")
-                )
-            for v in seq:
-                diags.extend(_stored_value_diags(schema, store, v, ty, path))
-    return diags
-
-
-def _stored_value_diags(schema: Schema, store: Store, v, ty: StoredType, path: str) -> list[Diagnostic]:
-    if isinstance(ty, ScalarType):
-        if isinstance(v, (StoredRef, ObjVal)) or scalar_type_of(v) is not ty:
-            return [Diagnostic("ValueTypeMismatch", path, f"expected {ty}")]
-        return []
-    if not isinstance(v, StoredRef):
-        return [Diagnostic("ValueTypeMismatch", path, f"expected reference to {ty.target}")]
-    tup = store.get(v.id)
-    if tup is None:
-        return [Diagnostic("DanglingRef", path, f"id {v.id!r} not present in store")]
-    if tup.type_name != ty.target:
-        return [
-            Diagnostic("ValueTypeMismatch", path, f"id {v.id!r} has type {tup.type_name}, expected {ty.target}")
-        ]
-    diags: list[Diagnostic] = []
-    props = ty.prop_map()
-    for plbl in v.link_props:
-        if plbl not in props:
-            diags.append(Diagnostic("ExtraLabel", f"{path}.{plbl}", "link property not declared"))
-    for plbl, (pty, pcard) in props.items():
-        ppath = f"{path}.{plbl}"
-        if plbl not in v.link_props:
-            diags.append(Diagnostic("MissingLabel", ppath, "declared link property is absent"))
-            continue
-        seq = v.link_props[plbl]
-        if not pcard.admits(len(seq)):
-            diags.append(Diagnostic("CardinalityViolation", ppath, f"{len(seq)} values, mode {pcard}"))
-        for x in seq:
-            if isinstance(x, (StoredRef, ObjVal)) or scalar_type_of(x) is not pty:
-                diags.append(Diagnostic("ValueTypeMismatch", ppath, f"expected {pty}"))
-    return diags
+            present += 1
+            if pcard.admits(len(pseq)):
+                for x in pseq:
+                    if SCALAR_TYPES.get(type(x)) is not pty:
+                        break
+                else:
+                    continue  # well typed: no path string is built
+            _check_seq(store, pseq, pty, pcard, f"{path}.{plbl}", diags)
+        if present != len(props):
+            # undeclared link properties, reported ahead of the declared ones
+            declared = dict(ty.link_props)
+            diags[first:first] = [Diagnostic("ExtraLabel", f"{path}.{plbl}", "link property not declared")
+                                  for plbl in props if plbl not in declared]
 
 
 def type_computed_seq(
@@ -177,7 +187,7 @@ def type_computed_seq(
 
 def _type_computed_value(schema: Schema, init_store: Store, ext_store: Store, v, ty: ComputedType) -> bool:
     if isinstance(ty, ScalarType):
-        return not isinstance(v, (ObjVal, StoredRef)) and scalar_type_of(v) is ty
+        return SCALAR_TYPES.get(type(v)) is ty
     if not isinstance(v, ObjVal):
         return False
     if set(v.shape) != set(ty.entries):

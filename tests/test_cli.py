@@ -276,6 +276,17 @@ def test_repl_two_queries_on_one_line(store_file):
     assert out.getvalue() == "1\n2\n"
 
 
+def test_repl_ends_a_query_only_at_a_semicolon_outside_strings_and_comments(store_file):
+    from grql.cli import cmd_repl
+
+    args = type("A", (), {"store": str(store_file), "seed": None, "dedup": False,
+                          "format": "json"})()
+    out = io.StringIO()
+    script = '"a;b";\n"q\\";";\n1 # not here; nor here\n+ 1;\n\\quit\n'
+    assert cmd_repl(args, stdin=io.StringIO(script), stdout=out) == 0
+    assert out.getvalue() == '"a;b"\n"q\\";"\n2\n'
+
+
 def test_repl_reports_each_load_diagnostic_on_its_own_line(store_file, tmp_path, capsys):
     from grql.cli import cmd_repl
 

@@ -223,6 +223,8 @@ def test_counterexample_files_replay(tmp_path):
     fake = CounterExample(inst, [1, 2, 3], "preservation", "w")
     text = counterexample_to_json(fake)
     doc = json.loads(text)
+    # the text is the stdlib's indented text of its document, float included
+    assert text == json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
     assert doc["seed"] == 7 and doc["property"] == "preservation"
     assert doc["expr"] == core.to_text(inst.expr)
     # the snapshot carries the schema source; there is no separate key for it

@@ -199,11 +199,29 @@ def _with_entities_int(doc):
     doc["entities"] = 5
 
 
+def _with_int_ref(doc):
+    # id 1 exists, so `str` of the int would have resolved
+    movie = next(ent for ent in doc["entities"] if ent["id"] == "7")
+    movie["fields"]["directors"] = [{"ref": 1}]
+
+
+def _with_list_ref(doc):
+    movie = next(ent for ent in doc["entities"] if ent["id"] == "7")
+    movie["fields"]["directors"] = [{"ref": [1]}]
+
+
+def _with_int_entity_id(doc):
+    doc["entities"][2]["id"] = 99
+
+
 @pytest.mark.parametrize("corrupt, code, path", [
     (_with_schema_int, "BadSnapshot", "schema"),
     (_with_fields_list, "BadSnapshot", "#1"),
     (_with_props_list, "BadCell", "#7.actors"),
     (_with_entities_int, "BadSnapshot", "entities"),
+    (_with_int_ref, "BadCell", "#7.directors"),
+    (_with_list_ref, "BadCell", "#7.directors"),
+    (_with_int_entity_id, "BadSnapshot", "entities[2]"),
 ])
 def test_malformed_json_shapes_are_diagnostics(corrupt, code, path):
     doc = json.loads(seed_snapshot_text())
@@ -211,3 +229,54 @@ def test_malformed_json_shapes_are_diagnostics(corrupt, code, path):
     with pytest.raises(SnapshotError) as err:
         load_snapshot(json.dumps(doc))
     assert (code, path) in [(d.code, d.path) for d in err.value.diagnostics]
+
+
+@pytest.mark.parametrize("corrupt, line", [
+    (_with_int_ref, "BadCell #7.directors reference id must be a string"),
+    (_with_int_entity_id, "BadSnapshot entities[2] entity id must be a string"),
+])
+def test_non_string_ids_are_rejected_not_rewritten(corrupt, line):
+    doc = json.loads(seed_snapshot_text())
+    corrupt(doc)
+    with pytest.raises(SnapshotError) as err:
+        load_snapshot(json.dumps(doc))
+    assert [str(d) for d in err.value.diagnostics] == [line]
+
+
+def _stdlib_snapshot_text(schema_text, store, next_id):
+    """The snapshot document, built from the format's description and written
+    by the stdlib encoder."""
+    def cell(v):
+        if not isinstance(v, StoredRef):
+            return v.value
+        if not v.link_props:
+            return {"ref": v.id}
+        return {"ref": v.id, "props": {lbl: [x.value for x in seq] for lbl, seq in v.link_props.items()}}
+
+    entities = [{"id": id, "type": tup.type_name,
+                 "fields": {lbl: [cell(v) for v in seq] for lbl, seq in tup.record.items()}}
+                for id, tup in store.tuples.items()]
+    doc = {"v": 1, "schema": schema_text, "nextId": next_id, "entities": entities}
+    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+
+
+def test_saved_text_is_the_stdlib_indent_2_text_for_generated_stores():
+    from grql.harness import GenConfig, gen_instance
+    from grql.parser import schema_to_source
+
+    for seed in range(500):
+        inst = gen_instance(GenConfig(seed=seed))
+        args = (schema_to_source(inst.schema), inst.store, inst.store.max_numeric_id() + 1)
+        assert save_snapshot(*args) == _stdlib_snapshot_text(*args)
+
+
+def test_saved_text_is_the_stdlib_indent_2_text_for_bench_and_seed_stores(monkeypatch):
+    import importlib
+    from pathlib import Path
+
+    monkeypatch.syspath_prepend(str(Path(__file__).parent.parent / "bench"))
+    gen = importlib.import_module("gen")
+    for text in (gen.generate(1, 200)[0].snapshot_text(), seed_snapshot_text()):
+        snap = load_snapshot(text)
+        args = (snap.schema_text, snap.store, snap.next_id)
+        assert save_snapshot(*args) == _stdlib_snapshot_text(*args)

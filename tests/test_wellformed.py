@@ -251,3 +251,103 @@ def test_extension_transitive(seed_store):
     top = mid.with_tuple("91", StoreTuple("Person", {NAME: [StrVal("B")], AGE: [IntVal(2)], BORN: []}))
     assert store_extends(seed_store, mid) and store_extends(mid, top)
     assert store_extends(seed_store, top)
+
+
+# -- store-check diagnostics golden --------------------------------------------
+
+def _corrupted_stores(inst, rng):
+    """Copies of a generated store, each with one seeded corruption, then one
+    with all of them at once; a corruption that does not apply is skipped."""
+    import copy
+
+    from grql.model import BoolVal
+
+    wrong_scalar = {ScalarType.INT: StrVal("x"), ScalarType.STR: BoolVal(True),
+                    ScalarType.BOOL: IntVal(1)}
+    ids = list(inst.store.tuples)
+    typed = [(id, lbl, ty, card)
+             for id in ids
+             for lbl, (ty, card) in inst.schema.decl(inst.store.tuples[id].type_name).labels.items()]
+    scalars = [t for t in typed if isinstance(t[2], ScalarType)]
+    refs = [t for t in typed if isinstance(t[2], StoredRefType)]
+    propped = [(id, lbl, ty, card) for id, lbl, ty, card in refs
+               if ty.link_props and inst.store.tuples[id].record[lbl]]
+
+    def unknown_type(tuples):
+        id = rng.choice(ids)
+        tuples[id].type_name = "Nope"
+
+    def missing_label(tuples):
+        id, lbl, _, _ = rng.choice(typed)
+        del tuples[id].record[lbl]
+
+    def extra_label(tuples):
+        tuples[rng.choice(ids)].record["zz"] = [IntVal(0)]
+
+    def cardinality(tuples):
+        id, lbl, _, card = rng.choice(typed)
+        seq = tuples[id].record[lbl]
+        tuples[id].record[lbl] = [] if card.lo == 1 else seq * 2 if card.hi == 1 and seq else seq
+
+    def wrong_scalar_type(tuples):
+        id, lbl, ty, _ = rng.choice(scalars)
+        tuples[id].record[lbl] = [wrong_scalar[ty]] + tuples[id].record[lbl][1:]
+
+    def dangling_ref(tuples):
+        id, lbl, _, _ = rng.choice(refs)
+        tuples[id].record[lbl] = tuples[id].record[lbl] + [StoredRef("99999")]
+
+    def wrong_target(tuples):
+        id, lbl, ty, _ = rng.choice(refs)
+        others = [o for o in ids if inst.store.tuples[o].type_name != ty.target]
+        if others:
+            tuples[id].record[lbl] = [StoredRef(rng.choice(others))]
+
+    def link_prop(tuples):
+        id, lbl, ty, _ = rng.choice(propped)
+        props = tuples[id].record[lbl][0].link_props
+        plbl, (pty, pcard) = rng.choice(ty.link_props)
+        match rng.randrange(4):
+            case 0:
+                del props[plbl]
+            case 1:
+                props["@zz"] = []
+            case 2:
+                props[plbl] = [wrong_scalar[pty]]
+            case 3:
+                # an undeclared property is reported before the declared ones
+                props[plbl] = [] if pcard.lo == 1 else props[plbl] * 2 + [wrong_scalar[pty]]
+                props["@zz"] = []
+
+    corruptions = [unknown_type, missing_label, extra_label, cardinality]
+    corruptions += [wrong_scalar_type] if scalars else []
+    corruptions += [dangling_ref, wrong_target] if refs else []
+    corruptions += [link_prop] if propped else []
+    everything = copy.deepcopy(inst.store.tuples)
+    for corrupt in corruptions:
+        tuples = copy.deepcopy(inst.store.tuples)
+        corrupt(tuples)
+        yield Store(tuples)
+    for corrupt in reversed(corruptions):
+        corrupt(everything)
+    yield Store(everything)
+
+
+# sha256 over the diagnostic lines of check_store on the corrupted copies of
+# the default-config generated stores for seeds 0..499; a change to a
+# diagnostic's code, path, message or order changes it
+STORE_DIAGNOSTICS_DIGEST = "c581778cc473b96e80078abbfdfb6d2101261c6d6dd782b9a6e4426ebe9fa346"
+
+
+def test_store_diagnostics_match_golden_digest():
+    import hashlib
+    import random
+
+    from grql.harness import GenConfig, gen_instance
+
+    h = hashlib.sha256()
+    for seed in range(500):
+        inst = gen_instance(GenConfig(seed=seed))
+        for store in _corrupted_stores(inst, random.Random(seed)):
+            h.update(repr([str(d) for d in check_store(inst.schema, store)]).encode())
+    assert h.hexdigest() == STORE_DIAGNOSTICS_DIGEST
