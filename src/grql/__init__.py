@@ -9,7 +9,7 @@ The functions `desugar` and `serialize` are not re-exported, so that
 """
 
 from .desugar import DesugarError
-from .evaluator import EvalConfig, EvalFault, EvalOutcome, IdAllocator, evaluate
+from .evaluator import EvalConfig, EvalFault, EvalOutcome, evaluate
 from .model import (
     AT_LEAST_ONE,
     AT_MOST_ONE,
@@ -46,7 +46,7 @@ __all__ = [
     "parse_query", "parse_schema", "format_expr", "ParseError",
     "DesugarError",
     "synth", "TypeCheckError",
-    "evaluate", "EvalConfig", "EvalOutcome", "EvalFault", "IdAllocator",
+    "evaluate", "EvalConfig", "EvalOutcome", "EvalFault",
     "to_json_text", "debug_print",
     "load_snapshot", "save_snapshot", "load_seed", "LoadedSnapshot", "SnapshotError",
     "check_schema", "check_store", "store_extends", "Diagnostic",

@@ -1,8 +1,10 @@
 """Built-in function registry: signatures, resolution, and interpretations.
 
-The table is closed. Each builtin states its parameter modifiers once; its
-result type is a function of the argument types, and eq and coalesce are
-polymorphic with their type variable instantiated from the arguments.
+The table is closed. Each builtin is one row: its parameter modifiers, its
+parameter types, its result type and cardinality, and its interpretation. A
+parameter type is a scalar type, any type, or the one type variable; eq and
+coalesce are polymorphic in that variable, which the arguments instantiate.
+`BuiltinSpec.resolve` is the one rule that reads a row.
 """
 
 from __future__ import annotations
@@ -44,18 +46,43 @@ MODIFIER_CARD: dict[ParamModifier, Cardinality] = {
 Result = tuple[ComputedType, Cardinality]
 
 
+class TypeParam(enum.Enum):
+    ANY = "any"  # accepts every argument type
+    T = "T"  # the one type variable: every argument it types is equal
+
+
+Param = ScalarType | TypeParam
+
+
 class BuiltinDomainError(Exception):
     """A built-in was applied outside its domain (e.g. integer overflow)."""
 
 
 @dataclass
 class BuiltinSpec:
+    """One signature: each argument's type is bounded by its parameter and
+    its cardinality by its modifier."""
+
     name: str
     modifiers: tuple[ParamModifier, ...]
-    # the argument types -> the result (type, cardinality), or None when no
-    # signature fits; each argument's cardinality is bounded by its modifier
-    resolve: Callable[[list[ComputedType]], Result | None]
+    params: tuple[Param, ...]
+    result: Param
+    card: Cardinality
     run: Callable[[list[ValueSeq]], ValueSeq]
+
+    def resolve(self, arg_types: list[ComputedType]) -> Result | None:
+        """The result (type, cardinality) for these argument types, or None
+        when the signature does not fit them."""
+        bound = None
+        for param, arg in zip(self.params, arg_types):
+            if param is TypeParam.T:
+                if bound is None:
+                    bound = arg
+                elif arg != bound:
+                    return None
+            elif param is not TypeParam.ANY and arg is not param:
+                return None
+        return (bound if self.result is TypeParam.T else self.result), self.card
 
 
 def _checked_int(n: int) -> IntVal:
@@ -72,48 +99,6 @@ def _value_eq(a, b) -> bool:
     if isinstance(a, ObjVal) or isinstance(b, ObjVal):
         return False
     return a == b
-
-
-def _resolve_count(args: list[ComputedType]) -> Result | None:
-    return ScalarType.INT, ONE
-
-
-def _resolve_eq(args: list[ComputedType]) -> Result | None:
-    if args[0] != args[1]:
-        return None
-    return ScalarType.BOOL, ONE
-
-
-def _resolve_append(args: list[ComputedType]) -> Result | None:
-    if args[0] is not ScalarType.STR or args[1] is not ScalarType.STR:
-        return None
-    return ScalarType.STR, ONE
-
-
-def _resolve_coalesce(args: list[ComputedType]) -> Result | None:
-    if args[0] != args[1]:
-        return None
-    return args[0], MANY
-
-
-def _resolve_any(args: list[ComputedType]) -> Result | None:
-    if args[0] is not ScalarType.BOOL:
-        return None
-    return ScalarType.BOOL, ONE
-
-
-def _resolve_int_binop(result: ScalarType):
-    def resolve(args: list[ComputedType]) -> Result | None:
-        if args[0] is not ScalarType.INT or args[1] is not ScalarType.INT:
-            return None
-        return result, ONE
-    return resolve
-
-
-def _resolve_not(args: list[ComputedType]) -> Result | None:
-    if args[0] is not ScalarType.BOOL:
-        return None
-    return ScalarType.BOOL, ONE
 
 
 def _run_count(args: list[ValueSeq]) -> ValueSeq:
@@ -148,13 +133,17 @@ def _run_not(args: list[ValueSeq]) -> ValueSeq:
     return [BoolVal(not args[0][0].value)]
 
 
+_1, _OPT, _MANY = ParamModifier.ONE, ParamModifier.OPT, ParamModifier.MANY
+INT, STR, BOOL = ScalarType.INT, ScalarType.STR, ScalarType.BOOL
+ANY, T = TypeParam.ANY, TypeParam.T
+
 REGISTRY: dict[str, BuiltinSpec] = {spec.name: spec for spec in (
-    BuiltinSpec("count", (ParamModifier.MANY,), _resolve_count, _run_count),
-    BuiltinSpec("eq", (ParamModifier.ONE, ParamModifier.ONE), _resolve_eq, _run_eq),
-    BuiltinSpec("append", (ParamModifier.ONE, ParamModifier.ONE), _resolve_append, _run_append),
-    BuiltinSpec("coalesce", (ParamModifier.OPT, ParamModifier.MANY), _resolve_coalesce, _run_coalesce),
-    BuiltinSpec("any", (ParamModifier.MANY,), _resolve_any, _run_any),
-    BuiltinSpec("add", (ParamModifier.ONE, ParamModifier.ONE), _resolve_int_binop(ScalarType.INT), _run_add),
-    BuiltinSpec("lt", (ParamModifier.ONE, ParamModifier.ONE), _resolve_int_binop(ScalarType.BOOL), _run_lt),
-    BuiltinSpec("not", (ParamModifier.ONE,), _resolve_not, _run_not),
+    BuiltinSpec("count", (_MANY,), (ANY,), INT, ONE, _run_count),
+    BuiltinSpec("eq", (_1, _1), (T, T), BOOL, ONE, _run_eq),
+    BuiltinSpec("append", (_1, _1), (STR, STR), STR, ONE, _run_append),
+    BuiltinSpec("coalesce", (_OPT, _MANY), (T, T), T, MANY, _run_coalesce),
+    BuiltinSpec("any", (_MANY,), (BOOL,), BOOL, ONE, _run_any),
+    BuiltinSpec("add", (_1, _1), (INT, INT), INT, ONE, _run_add),
+    BuiltinSpec("lt", (_1, _1), (INT, INT), BOOL, ONE, _run_lt),
+    BuiltinSpec("not", (_1,), (BOOL,), BOOL, ONE, _run_not),
 )}

@@ -1,9 +1,10 @@
 """Command-line front end: one-shot query runner, REPL, checker, and fuzzer.
 
 Exit codes: 0 success, 1 parse/type/runtime error in a query (or a failure
-`fuzz` found), 2 snapshot, store or counter-example file error, or a `fuzz`
-count out of range. Results go to stdout, diagnostics to stderr. GRQL_SEED,
-when set, is the default permutation seed.
+`fuzz` found), 2 snapshot, store or counter-example file error, a `fuzz`
+count out of range, or a GRQL_SEED that is not an integer. Results go to
+stdout, diagnostics to stderr. GRQL_SEED, when set and non-empty, is the
+default permutation seed (and the default `fuzz` master seed).
 """
 
 from __future__ import annotations
@@ -17,14 +18,14 @@ from dataclasses import dataclass
 
 from . import core, harness
 from .desugar import desugar
-from .evaluator import EvalConfig, IdAllocator, evaluate
+from .evaluator import EvalConfig, evaluate
 from .model import Cardinality, ComputedType, Schema, Store
 from .parser import parse_query, parse_schema
 from .serialize import debug_print, serialize, to_json_text
 from .store_io import LoadedSnapshot, SnapshotError, load_snapshot, save_snapshot
 from .surface import ParseError, QueryError
 from .typecheck import synth
-from .wellformed import check_schema
+from .wellformed import Diagnostic, check_schema
 
 EXIT_OK = 0
 EXIT_QUERY_ERROR = 1
@@ -32,13 +33,15 @@ EXIT_STORE_ERROR = 2
 
 
 def _env_seed() -> int | None:
+    """GRQL_SEED as an integer, or None when it is unset or empty; raises
+    ValueError when it is anything else."""
     raw = os.environ.get("GRQL_SEED")
-    if raw is None:
+    if not raw:
         return None
     try:
         return int(raw)
     except ValueError:
-        return None
+        raise ValueError(f"GRQL_SEED must be an integer, got {raw!r}") from None
 
 
 def typed_query(schema: Schema, text: str) -> tuple[core.Expr, ComputedType, Cardinality]:
@@ -72,12 +75,11 @@ class Session:
         store; commits the new store to the session on success."""
         expr, ty, card = typed_query(self.schema, text)
         # load_snapshot starts next_id past every stored id; queries only advance it
-        allocator = IdAllocator(self.next_id)
         config = EvalConfig(permutation_seed=self.seed, dedup_projections=self.dedup,
-                            id_allocator=allocator)
+                            next_id=self.next_id)
         outcome = evaluate(self.schema, config, {}, self.store, expr)
         self.store = outcome.store_after.unlock_all()
-        self.next_id = allocator.next_id
+        self.next_id = outcome.next_id
         return outcome.result, ty, card
 
     def render(self, result, ty, card, pretty: bool) -> str:
@@ -202,7 +204,8 @@ def cmd_check(args) -> int:
         try:
             schema, diags = parse_schema(text)
         except ParseError as exc:
-            print(f"error: {exc}", file=sys.stderr)
+            # the line the same schema gives inside a snapshot
+            print(Diagnostic("SchemaParseError", "-", str(exc)), file=sys.stderr)
             return EXIT_STORE_ERROR
         diags.extend(check_schema(schema))
         if diags:
@@ -245,6 +248,13 @@ def cmd_repl(args, stdin=None, stdout=None) -> int:
 
     def emit(line: str) -> None:
         print(line, file=stdout)
+
+    def run(query: str) -> None:
+        try:
+            result, ty, card = session.run_query(query)
+            emit(session.render(result, ty, card, pretty=True))
+        except QueryError as exc:
+            emit(f"error: {exc}")
 
     while True:
         if interactive:
@@ -293,15 +303,13 @@ def cmd_repl(args, stdin=None, stdout=None) -> int:
         buffer += line
         while (end := _query_end(buffer)) >= 0:
             query, buffer = buffer[:end], buffer[end + 1:]
-            if not query.strip():
-                continue
-            try:
-                result, ty, card = session.run_query(query)
-                emit(session.render(result, ty, card, pretty=True))
-            except QueryError as exc:
-                emit(f"error: {exc}")
+            if query.strip():
+                run(query)
         if not buffer.strip():
             buffer = ""
+    # end of input ends a pending query too, unless it holds only comments
+    if any(line.partition("#")[0].strip() for line in buffer.splitlines()):
+        run(buffer)
     return EXIT_OK
 
 
@@ -345,12 +353,15 @@ def cmd_fuzz(args) -> int:
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
+    """The argument parser; raises ValueError when GRQL_SEED is set to
+    something other than an integer."""
+    env_seed = _env_seed()
     p = argparse.ArgumentParser(prog="grql",
                                 description="graph-relational query calculus tools")
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp):
-        sp.add_argument("--seed", type=int, default=_env_seed(),
+        sp.add_argument("--seed", type=int, default=env_seed,
                         help="permutation seed (default: GRQL_SEED or canonical order)")
         sp.add_argument("--format", choices=("json", "debug"), default="json")
         sp.add_argument("--dedup", action="store_true",
@@ -375,7 +386,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
     fuzz = sub.add_parser("fuzz", help="run the metatheory property suite")
     fuzz.add_argument("--cases", type=int, default=1000)
-    fuzz.add_argument("--seed", type=int, default=_env_seed() or 1)
+    fuzz.add_argument("--seed", type=int, default=1 if env_seed is None else env_seed)
     fuzz.add_argument("--workers", type=int, default=1)
     fuzz.add_argument("--replay", help="re-run a stored counterexample file")
     fuzz.set_defaults(fn=cmd_fuzz)
@@ -383,7 +394,12 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_arg_parser().parse_args(argv)
+    try:
+        parser = build_arg_parser()
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_STORE_ERROR
+    args = parser.parse_args(argv)
     return args.fn(args)
 
 

@@ -62,34 +62,20 @@ class EvalFault(QueryError):
         super().__init__(code, message)
 
 
-class IdAllocator:
-    """Monotone decimal-string id source, seeded past everything in a store."""
-
-    def __init__(self, next_id: int = 1):
-        self.next_id = next_id
-
-    @classmethod
-    def for_store(cls, store: Store) -> IdAllocator:
-        return cls(store.max_numeric_id() + 1)
-
-    def allocate(self) -> EntityId:
-        out = str(self.next_id)
-        self.next_id += 1
-        return out
-
-
 @dataclass
 class EvalConfig:
     permutation_seed: int | None = None
     dedup_projections: bool = False  # False reproduces the formal semantics
-    # None: allocate past every id in the initial store
-    id_allocator: IdAllocator | None = None
+    # the first id an insert allocates; None: one past every numeric id of
+    # the initial store
+    next_id: int | None = None
 
 
 @dataclass
 class EvalOutcome:
     result: ValueSeq
     store_after: Store
+    next_id: int  # the id the next insert would allocate
 
 
 def project(init_store: Store, label: Label, w: ComputedValue) -> ValueSeq:
@@ -217,7 +203,8 @@ class Evaluator:
         self.schema = schema
         self.config = config
         self.init = init_store
-        self.ids = config.id_allocator or IdAllocator.for_store(init_store)
+        self.next_id = (config.next_id if config.next_id is not None
+                        else init_store.max_numeric_id() + 1)
         self.rng = (
             random.Random(config.permutation_seed)
             if config.permutation_seed is not None
@@ -352,7 +339,8 @@ class Evaluator:
         record: dict[Label, StoredValueSeq] = {}
         for lbl, (sty, _) in decl.labels.items():
             record[lbl] = strip_for_storage(computed[lbl], sty)
-        id = self.ids.allocate()
+        id = str(self.next_id)
+        self.next_id += 1
         assert self.init.get(id) is None and store.get(id) is None, "id not fresh"
         store = store.with_tuple(id, StoreTuple(n, record))
         shape_rec = {lbl: invis(computed[lbl]) for lbl in decl.labels}
@@ -414,5 +402,6 @@ def evaluate(
     store that reads see and the store that writes start from; raises
     EvalFault on the (statically unreachable) stuck cases and on built-in
     domain errors."""
-    result, after = Evaluator(schema, config, store).run(env, store, e)
-    return EvalOutcome(result, after)
+    evaluator = Evaluator(schema, config, store)
+    result, after = evaluator.run(env, store, e)
+    return EvalOutcome(result, after, evaluator.next_id)

@@ -108,6 +108,10 @@ def load_snapshot(text: str) -> LoadedSnapshot:
         raise SnapshotError([Diagnostic("SchemaParseError", "-", str(exc))]) from None
     diags.extend(check_schema(schema))
 
+    next_id = doc.get("nextId", 0)
+    if type(next_id) is not int:  # a JSON true/false decodes to a bool
+        diags.append(Diagnostic("BadSnapshot", "nextId", "nextId must be an integer"))
+
     entities = doc.get("entities", [])
     if not isinstance(entities, list):
         diags.append(Diagnostic("BadSnapshot", "entities", "entities must be a list"))
@@ -120,6 +124,9 @@ def load_snapshot(text: str) -> LoadedSnapshot:
         id = ent["id"]
         if not isinstance(id, str):
             diags.append(Diagnostic("BadSnapshot", f"entities[{i}]", "entity id must be a string"))
+            continue
+        if not isinstance(ent["type"], str):
+            diags.append(Diagnostic("BadSnapshot", f"entities[{i}]", "entity type must be a string"))
             continue
         if id in tuples:
             diags.append(Diagnostic("DuplicateId", f"#{id}", "entity id appears more than once"))
@@ -140,17 +147,13 @@ def load_snapshot(text: str) -> LoadedSnapshot:
                 if v is not None:
                     seq.append(v)
             record[key] = seq
-        tuples[id] = StoreTuple(str(ent["type"]), record)
+        tuples[id] = StoreTuple(ent["type"], record)
 
     store = Store(tuples)
     if not diags:
         diags.extend(check_store(schema, store))
     if diags:
         raise SnapshotError(diags)
-
-    next_id = doc.get("nextId", 0)
-    if not isinstance(next_id, int):
-        next_id = 0
     return LoadedSnapshot(schema, store, max(next_id, store.max_numeric_id() + 1), schema_text)
 
 

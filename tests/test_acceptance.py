@@ -13,7 +13,7 @@ import time
 from cardinality_tables import ADD_TABLE, LE_TABLE, MUL_TABLE
 from grql.cli import main
 from grql.desugar import desugar
-from grql.evaluator import EvalConfig, IdAllocator, evaluate
+from grql.evaluator import EvalConfig, evaluate
 from grql.harness import CONSTRUCTORS, run_fuzz
 from grql.model import (
     ALL_CARDINALITIES,
@@ -37,7 +37,7 @@ def _run(snap, text, seed=None, dedup=False):
     expr = desugar(parse_query(text))
     ty, card = synth(snap.schema, {}, expr)
     cfg = EvalConfig(permutation_seed=seed, dedup_projections=dedup,
-                     id_allocator=IdAllocator(snap.next_id))
+                     next_id=snap.next_id)
     out = evaluate(snap.schema, cfg, {}, snap.store, expr)
     return out, ty, card
 

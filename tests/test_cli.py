@@ -219,6 +219,20 @@ def test_check_schema_diagnostics_in_source_order(tmp_path, capsys):
     ]
 
 
+def test_check_bare_schema_parse_error_is_the_snapshot_diagnostic(tmp_path, capsys):
+    schema = "type T { x: ; };"
+    bare = tmp_path / "bad.gel"
+    bare.write_text(schema, encoding="utf-8")
+    snap = tmp_path / "bad.grdb.json"
+    snap.write_text(json.dumps({"v": 1, "schema": schema, "entities": []}), encoding="utf-8")
+    assert main(["check", str(snap)]) == 2
+    in_snapshot = capsys.readouterr().err
+    assert main(["check", str(bare)]) == 2
+    err = capsys.readouterr().err
+    assert err == in_snapshot and err.startswith("SchemaParseError - ")
+    assert len(err.splitlines()) == 1
+
+
 def test_check_query_prints_type(store_file, capsys):
     assert main(["check", str(store_file), "--query", "Movie.directors"]) == 0
     assert capsys.readouterr().out.strip() == "Person { } # [0, inf]"
@@ -285,6 +299,21 @@ def test_repl_ends_a_query_only_at_a_semicolon_outside_strings_and_comments(stor
     script = '"a;b";\n"q\\";";\n1 # not here; nor here\n+ 1;\n\\quit\n'
     assert cmd_repl(args, stdin=io.StringIO(script), stdout=out) == 0
     assert out.getvalue() == '"a;b"\n"q\\";"\n2\n'
+
+
+@pytest.mark.parametrize("script, output", [
+    ("1 + 1\n", "2\n"),  # the last query needs no `;`
+    ("1;\n2 # no `;` here\n", "1\n2\n"),
+    ("1;\n  # only a comment\n\n", "1\n"),  # a blank tail is no query
+])
+def test_repl_runs_a_query_pending_at_end_of_input(store_file, script, output):
+    from grql.cli import cmd_repl
+
+    args = type("A", (), {"store": str(store_file), "seed": None, "dedup": False,
+                          "format": "json"})()
+    out = io.StringIO()
+    assert cmd_repl(args, stdin=io.StringIO(script), stdout=out) == 0
+    assert out.getvalue() == output
 
 
 def test_repl_reports_each_load_diagnostic_on_its_own_line(store_file, tmp_path, capsys):
@@ -402,6 +431,33 @@ def test_env_seed_default(store_file, capsys, monkeypatch):
     main(["run", str(store_file), "Movie.title"])
     canonical = json.loads(capsys.readouterr().out)
     assert sorted(with_env) == sorted(canonical)
+
+
+def test_env_seed_zero_is_the_fuzz_master_seed(monkeypatch, capsys):
+    seeds = []
+
+    def no_run(cases, seed, workers):
+        seeds.append(seed)
+        return [], {}
+
+    monkeypatch.setattr(cli.harness, "run_fuzz", no_run)
+    monkeypatch.setenv("GRQL_SEED", "0")
+    assert main(["fuzz", "--cases", "1"]) == 0
+    monkeypatch.setenv("GRQL_SEED", "")  # empty is unset
+    assert main(["fuzz", "--cases", "1"]) == 0
+    monkeypatch.delenv("GRQL_SEED")
+    assert main(["fuzz", "--cases", "1"]) == 0
+    assert seeds == [0, 1, 1]
+
+
+@pytest.mark.parametrize("command", ["run", "fuzz"])
+def test_non_integer_env_seed_exits_2(store_file, monkeypatch, capsys, command):
+    monkeypatch.setenv("GRQL_SEED", "seven")
+    argv = ["run", str(store_file), "1"] if command == "run" else ["fuzz", "--cases", "1"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: GRQL_SEED must be an integer, got 'seven'\n"
 
 
 def test_session_read_only_query_keeps_the_store():

@@ -8,7 +8,6 @@ from grql.desugar import desugar
 from grql.evaluator import (
     EvalConfig,
     EvalFault,
-    IdAllocator,
     evaluate,
     order_by_keys,
     project,
@@ -47,7 +46,7 @@ def run(snap, text, seed=None, dedup=False):
     expr = desugar(parse_query(text))
     synth(snap.schema, {}, expr)  # the harness precondition: typed input
     cfg = EvalConfig(permutation_seed=seed, dedup_projections=dedup,
-                     id_allocator=IdAllocator(snap.next_id))
+                     next_id=snap.next_id)
     return evaluate(snap.schema, cfg, {}, snap.store, expr)
 
 
@@ -409,7 +408,7 @@ def test_zero_label_type_end_to_end():
     snap = load_snapshot(save_snapshot("type T { };", Store(), 1))
     expr = desugar(parse_query("insert T {}"))
     ty, m = synth(snap.schema, {}, expr)
-    cfg = EvalConfig(id_allocator=IdAllocator(snap.next_id))
+    cfg = EvalConfig(next_id=snap.next_id)
     out = evaluate(snap.schema, cfg, {}, snap.store, expr)
     assert to_json_text(serialize(out.result, ty, m)) == '{"id":"1"}'
     assert check_store(snap.schema, out.store_after.unlock_all()) == []
@@ -424,15 +423,14 @@ def test_self_link_cycle_stays_well_formed():
     empty = load_snapshot(save_snapshot(schema_text, Store(), 1))
     seed_expr = desugar(parse_query('insert U { name := "a", friend := <U>{} }'))
     synth(empty.schema, {}, seed_expr)
-    alloc = IdAllocator(1)
-    seeded = evaluate(empty.schema, EvalConfig(id_allocator=alloc), {},
+    seeded = evaluate(empty.schema, EvalConfig(next_id=1), {},
                       empty.store, seed_expr)
     snap = load_snapshot(save_snapshot(schema_text, seeded.store_after.unlock_all(),
-                                       alloc.next_id))
+                                       seeded.next_id))
 
     cyc = desugar(parse_query("for u in U union (update u set { friend := u })"))
     ty, m = synth(snap.schema, {}, cyc)
-    out = evaluate(snap.schema, EvalConfig(id_allocator=IdAllocator(snap.next_id)),
+    out = evaluate(snap.schema, EvalConfig(next_id=snap.next_id),
                    {}, snap.store, cyc)
     assert out.store_after.tuples["1"].record[olabel("friend")] == [StoredRef("1", {})]
     assert check_store(snap.schema, out.store_after.unlock_all()) == []
@@ -442,7 +440,7 @@ def test_self_link_cycle_stays_well_formed():
 
 def test_defensive_faults_on_untyped_inputs(seed_snapshot):
     # these inputs never pass the checker; the evaluator still fails cleanly
-    cfg = lambda: EvalConfig(id_allocator=IdAllocator(seed_snapshot.next_id))
+    cfg = lambda: EvalConfig(next_id=seed_snapshot.next_id)
 
     def fault(e, env=None):
         with pytest.raises(EvalFault) as err:
@@ -495,8 +493,7 @@ def test_adversarial_battery(seed_snapshot, text):
     ty, card = synth(seed_snapshot.schema, {}, expr)
     prints = []
     for seed in (None, 21, 22):
-        cfg = EvalConfig(permutation_seed=seed,
-                         id_allocator=IdAllocator(seed_snapshot.next_id))
+        cfg = EvalConfig(permutation_seed=seed, next_id=seed_snapshot.next_id)
         out = evaluate(seed_snapshot.schema, cfg, {}, seed_snapshot.store, expr)
         assert type_computed_seq(seed_snapshot.schema, seed_snapshot.store,
                                  out.store_after, out.result, ty, card), text

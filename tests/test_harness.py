@@ -256,11 +256,11 @@ def test_constructor_counts():
 
 def test_serialization_total_on_generated_outputs():
     # every typed evaluation result serializes to well-formed JSON
-    from grql.evaluator import EvalConfig, IdAllocator, evaluate
+    from grql.evaluator import EvalConfig, evaluate
     from grql.serialize import serialize, to_json_text
 
     for seed in range(150):
         inst = gen_instance(GenConfig(seed=seed))
-        cfg = EvalConfig(id_allocator=IdAllocator.for_store(inst.store))
+        cfg = EvalConfig(next_id=inst.store.max_numeric_id() + 1)
         out = evaluate(inst.schema, cfg, {}, inst.store, inst.expr)
         json.loads(to_json_text(serialize(out.result, inst.ty, inst.card)))

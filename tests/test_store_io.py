@@ -53,7 +53,7 @@ def test_save_is_byte_deterministic():
 
 def test_save_after_insert_round_trips():
     from grql.desugar import desugar
-    from grql.evaluator import EvalConfig, IdAllocator, evaluate
+    from grql.evaluator import EvalConfig, evaluate
     from grql.parser import parse_query
     from grql.typecheck import synth
 
@@ -61,9 +61,10 @@ def test_save_after_insert_round_trips():
     expr = desugar(parse_query(
         'insert Person { name := "New", age := 1, born := <str>{} }'))
     synth(snap.schema, {}, expr)
-    cfg = EvalConfig(id_allocator=IdAllocator(snap.next_id))
+    cfg = EvalConfig(next_id=snap.next_id)
     out = evaluate(snap.schema, cfg, {}, snap.store, expr)
-    text = save_snapshot(snap.schema_text, out.store_after.unlock_all(), cfg.id_allocator.next_id)
+    assert out.next_id == 13
+    text = save_snapshot(snap.schema_text, out.store_after.unlock_all(), out.next_id)
     again = load_snapshot(text)
     assert again.store.tuples["12"].record[NAME] == [StrVal("New")]
     assert again.next_id == 13
@@ -153,6 +154,8 @@ def test_next_id_advances_past_numeric_ids():
     doc["nextId"] = 2  # stale counter: ids go up to 11
     snap = load_snapshot(json.dumps(doc))
     assert snap.next_id == 12
+    del doc["nextId"]  # a missing counter keeps its default
+    assert load_snapshot(json.dumps(doc)).next_id == 12
 
 
 def test_repo_root_copy_matches_packaged_seed():
@@ -214,6 +217,18 @@ def _with_int_entity_id(doc):
     doc["entities"][2]["id"] = 99
 
 
+def _with_list_entity_type(doc):
+    doc["entities"][2]["type"] = ["Person"]
+
+
+def _with_str_next_id(doc):
+    doc["nextId"] = "99"
+
+
+def _with_bool_next_id(doc):
+    doc["nextId"] = True
+
+
 @pytest.mark.parametrize("corrupt, code, path", [
     (_with_schema_int, "BadSnapshot", "schema"),
     (_with_fields_list, "BadSnapshot", "#1"),
@@ -222,6 +237,9 @@ def _with_int_entity_id(doc):
     (_with_int_ref, "BadCell", "#7.directors"),
     (_with_list_ref, "BadCell", "#7.directors"),
     (_with_int_entity_id, "BadSnapshot", "entities[2]"),
+    (_with_list_entity_type, "BadSnapshot", "entities[2]"),
+    (_with_str_next_id, "BadSnapshot", "nextId"),
+    (_with_bool_next_id, "BadSnapshot", "nextId"),
 ])
 def test_malformed_json_shapes_are_diagnostics(corrupt, code, path):
     doc = json.loads(seed_snapshot_text())
@@ -234,6 +252,9 @@ def test_malformed_json_shapes_are_diagnostics(corrupt, code, path):
 @pytest.mark.parametrize("corrupt, line", [
     (_with_int_ref, "BadCell #7.directors reference id must be a string"),
     (_with_int_entity_id, "BadSnapshot entities[2] entity id must be a string"),
+    (_with_list_entity_type, "BadSnapshot entities[2] entity type must be a string"),
+    (_with_str_next_id, "BadSnapshot nextId nextId must be an integer"),
+    (_with_bool_next_id, "BadSnapshot nextId nextId must be an integer"),
 ])
 def test_non_string_ids_are_rejected_not_rewritten(corrupt, line):
     doc = json.loads(seed_snapshot_text())

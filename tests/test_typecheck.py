@@ -181,6 +181,42 @@ def test_resolve_unknown_name():
         resolve_builtin("bogus", [ScalarType.INT])
 
 
+INT, STR, BOOL = ScalarType.INT, ScalarType.STR, ScalarType.BOOL
+A, B = ObjType("A", {}), ObjType("B", {})
+A_X1 = ObjType("A", {olabel("x"): (INT, ONE)})
+A_XMANY = ObjType("A", {olabel("x"): (INT, MANY)})
+UNIVERSE = (INT, STR, BOOL, A, B, A_X1, A_XMANY)
+
+# Every (builtin, argument types, result) row that resolves; every other row
+# over UNIVERSE has no signature. Object types are equal only when their
+# targets and entries are, so eq and coalesce accept the diagonal.
+RESOLVING = [
+    *[("count", (t,), (INT, ONE)) for t in UNIVERSE],
+    *[("eq", (t, t), (BOOL, ONE)) for t in UNIVERSE],
+    ("append", (STR, STR), (STR, ONE)),
+    *[("coalesce", (t, t), (t, MANY)) for t in UNIVERSE],
+    ("any", (BOOL,), (BOOL, ONE)),
+    ("add", (INT, INT), (INT, ONE)),
+    ("lt", (INT, INT), (BOOL, ONE)),
+    ("not", (BOOL,), (BOOL, ONE)),
+]
+
+
+def test_resolution_over_the_type_universe():
+    from itertools import product
+
+    from grql.builtins import REGISTRY
+
+    rows = resolved = 0
+    for name, spec in REGISTRY.items():
+        for args in product(UNIVERSE, repeat=len(spec.modifiers)):
+            expected = next((r for n, a, r in RESOLVING if n == name and a == args), None)
+            assert spec.resolve(list(args)) == expected, (name, args)
+            rows += 1
+            resolved += expected is not None
+    assert (rows, resolved) == (266, len(RESOLVING)) == (266, 26)
+
+
 # -- the insert/update auxiliary judgment --------------------------------------
 
 def test_check_against_stored_scalar(seed_schema):

@@ -232,7 +232,7 @@ def test_extension_rejects_changed_unlocked_tuple(seed_store):
 
 def test_shaped_query_result_types_at_synthesized_type(seed_snapshot):
     from grql.desugar import desugar
-    from grql.evaluator import EvalConfig, IdAllocator, evaluate
+    from grql.evaluator import EvalConfig, evaluate
     from grql.parser import parse_query
     from grql.typecheck import synth
 
@@ -240,7 +240,7 @@ def test_shaped_query_result_types_at_synthesized_type(seed_snapshot):
         "select Movie { title, year, directors: { name, age },"
         " actors: { name, @character }}"))
     ty, card = synth(seed_snapshot.schema, {}, expr)
-    cfg = EvalConfig(id_allocator=IdAllocator(seed_snapshot.next_id))
+    cfg = EvalConfig(next_id=seed_snapshot.next_id)
     out = evaluate(seed_snapshot.schema, cfg, {}, seed_snapshot.store, expr)
     assert type_computed_seq(seed_snapshot.schema, seed_snapshot.store,
                              out.store_after, out.result, ty, card)
