@@ -1,11 +1,12 @@
 """grql: a reference interpreter, static type-and-cardinality checker, and
 metatheory fuzz harness for a graph-relational query calculus.
 
-The typical pipeline is parse_query -> desugar -> synth -> evaluate ->
-serialize; load_snapshot/save_snapshot move schema+store pairs in and out of
-`.grdb.json` files, and load_seed returns the bundled example database.
-The functions `desugar` and `serialize` are not re-exported, so that
-`grql.desugar` and `grql.serialize` name their submodules.
+The typical pipeline is parse_query -> desugar -> synth -> simplify ->
+evaluate -> serialize; load_snapshot/save_snapshot move schema+store pairs in
+and out of `.grdb.json` files, and load_seed returns the bundled example
+database. The functions `desugar`, `simplify` and `serialize` are not
+re-exported, so that `grql.desugar`, `grql.simplify` and `grql.serialize`
+name their submodules.
 """
 
 from .desugar import DesugarError

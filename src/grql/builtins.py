@@ -1,7 +1,8 @@
 """Built-in function registry: signatures, resolution, and interpretations.
 
 The table is closed. Each builtin is one row: its parameter modifiers, its
-parameter types, its result type and cardinality, and its interpretation. A
+parameter types, its result type and cardinality, its interpretation, and
+whether it is total (can never raise `BuiltinDomainError`). A
 parameter type is a scalar type, any type, or the one type variable; eq and
 coalesce are polymorphic in that variable, which the arguments instantiate.
 `BuiltinSpec.resolve` is the one rule that reads a row.
@@ -69,6 +70,7 @@ class BuiltinSpec:
     result: Param
     card: Cardinality
     run: Callable[[list[ValueSeq]], ValueSeq]
+    total: bool = True  # False: `run` may raise BuiltinDomainError
 
     def resolve(self, arg_types: list[ComputedType]) -> Result | None:
         """The result (type, cardinality) for these argument types, or None
@@ -143,7 +145,7 @@ REGISTRY: dict[str, BuiltinSpec] = {spec.name: spec for spec in (
     BuiltinSpec("append", (_1, _1), (STR, STR), STR, ONE, _run_append),
     BuiltinSpec("coalesce", (_OPT, _MANY), (T, T), T, MANY, _run_coalesce),
     BuiltinSpec("any", (_MANY,), (BOOL,), BOOL, ONE, _run_any),
-    BuiltinSpec("add", (_1, _1), (INT, INT), INT, ONE, _run_add),
+    BuiltinSpec("add", (_1, _1), (INT, INT), INT, ONE, _run_add, total=False),
     BuiltinSpec("lt", (_1, _1), (INT, INT), BOOL, ONE, _run_lt),
     BuiltinSpec("not", (_1,), (BOOL,), BOOL, ONE, _run_not),
 )}

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import os
 import shutil
 import sys
@@ -22,6 +23,7 @@ from .evaluator import EvalConfig, evaluate
 from .model import Cardinality, ComputedType, Schema, Store
 from .parser import parse_query, parse_schema
 from .serialize import debug_print, serialize, to_json_text
+from .simplify import simplify
 from .store_io import LoadedSnapshot, SnapshotError, load_snapshot, save_snapshot
 from .surface import ParseError, QueryError
 from .typecheck import synth
@@ -71,13 +73,13 @@ class Session:
         return cls(snap.schema, snap.store, snap.schema_text, snap.next_id, **kw)
 
     def run_query(self, text: str) -> tuple[object, ComputedType, Cardinality]:
-        """Parse, lower, check, and evaluate one query against the session
-        store; commits the new store to the session on success."""
+        """Parse, lower, check, simplify and evaluate one query against the
+        session store; commits the new store to the session on success."""
         expr, ty, card = typed_query(self.schema, text)
         # load_snapshot starts next_id past every stored id; queries only advance it
         config = EvalConfig(permutation_seed=self.seed, dedup_projections=self.dedup,
                             next_id=self.next_id)
-        outcome = evaluate(self.schema, config, {}, self.store, expr)
+        outcome = evaluate(self.schema, config, {}, self.store, simplify(self.schema, expr))
         self.store = outcome.store_after.unlock_all()
         self.next_id = outcome.next_id
         return outcome.result, ty, card
@@ -115,6 +117,12 @@ def _query_end(text: str) -> int:
                 return -1
         i += 1
     return -1
+
+
+def _holds_code(query: str) -> bool:
+    """Whether the query text holds anything but whitespace and `#`
+    comments; the REPL skips one that does not."""
+    return any(line.partition("#")[0].strip() for line in query.splitlines())
 
 
 def _write_snapshot(path: str, text: str) -> None:
@@ -157,13 +165,20 @@ def _read_text(path: str) -> str | None:
 
 def _load_text(text: str) -> LoadedSnapshot | None:
     """Load snapshot text, or print why it cannot be loaded (one diagnostic
-    per line) and return None."""
+    per line) and return None. The cyclic GC is off while the snapshot
+    decodes, since each collection during the load would walk every tuple
+    built so far; the caller's GC state is restored afterwards."""
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         return load_snapshot(text)
     except SnapshotError as exc:
         for d in exc.diagnostics:
             print(d, file=sys.stderr)
         return None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _open_snapshot(path: str) -> LoadedSnapshot | None:
@@ -303,12 +318,12 @@ def cmd_repl(args, stdin=None, stdout=None) -> int:
         buffer += line
         while (end := _query_end(buffer)) >= 0:
             query, buffer = buffer[:end], buffer[end + 1:]
-            if query.strip():
+            if _holds_code(query):
                 run(query)
         if not buffer.strip():
             buffer = ""
-    # end of input ends a pending query too, unless it holds only comments
-    if any(line.partition("#")[0].strip() for line in buffer.splitlines()):
+    # end of input ends a pending query too
+    if _holds_code(buffer):
         run(buffer)
     return EXIT_OK
 

@@ -12,7 +12,7 @@ import pytest
 
 from grql import cli
 from grql.cli import main
-from grql.store_io import seed_snapshot_text
+from grql.store_io import load_snapshot, seed_snapshot_text
 
 RUNNING_QUERY = ("select Movie { title, year, directors: { name, age }, "
                  "actors: { name, @character }};")
@@ -314,6 +314,44 @@ def test_repl_runs_a_query_pending_at_end_of_input(store_file, script, output):
     out = io.StringIO()
     assert cmd_repl(args, stdin=io.StringIO(script), stdout=out) == 0
     assert out.getvalue() == output
+
+
+@pytest.mark.parametrize("script, output", [
+    ("# just a note\n;\n1;\n", "1\n"),
+    ("1; # a note\n  # and another\n; 2;\n", "1\n2\n"),
+])
+def test_repl_skips_a_query_of_only_comments(store_file, script, output):
+    from grql.cli import cmd_repl
+
+    args = type("A", (), {"store": str(store_file), "seed": None, "dedup": False,
+                          "format": "json"})()
+    out = io.StringIO()
+    assert cmd_repl(args, stdin=io.StringIO(script), stdout=out) == 0
+    assert out.getvalue() == output
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_snapshot_load_turns_the_gc_off_and_restores_it(monkeypatch, capsys, enabled):
+    import gc
+
+    during = []
+
+    def load(text):
+        during.append(gc.isenabled())
+        return load_snapshot(text)
+
+    monkeypatch.setattr(cli, "load_snapshot", load)
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        assert cli._load_text(seed_snapshot_text()) is not None
+        assert gc.isenabled() is enabled
+        assert cli._load_text("{") is None  # a SnapshotError
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert during == [False, False]
+    assert capsys.readouterr().err.startswith("BadSnapshot")
 
 
 def test_repl_reports_each_load_diagnostic_on_its_own_line(store_file, tmp_path, capsys):
