@@ -1,10 +1,11 @@
 """Core (desugared) expression syntax.
 
 This is the constructor set the checker and evaluator operate on; no derived
-forms remain. An Empty node carries either an explicit type annotation or the
-name of an in-scope variable whose element type it adopts (the deferred form
-produced when lowering filters and optional iteration, where the annotation
-is not syntactically available).
+forms of the surface syntax remain. One node, Lookup, is a derived form of
+the core itself that only `simplify` creates. An Empty node carries either an
+explicit type annotation or the name of an in-scope variable whose element
+type it adopts (the deferred form produced when lowering filters and optional
+iteration, where the annotation is not syntactically available).
 """
 
 from __future__ import annotations
@@ -62,6 +63,18 @@ class Backlink(Expr):
     subject: Expr
     label: Label
     type_name: str
+
+
+@dataclass
+class Lookup(Expr):
+    """The ids of `type_name` whose scalar label `label` holds a value of
+    `key`, read from the store's value index; by definition
+    `for x in T union if!(any!(for y in x.l union for z in key union
+    eq!(y, z)); x; empty)`, with `key` pure, total and free of x and y."""
+
+    type_name: str
+    label: Label
+    key: Expr
 
 
 @dataclass
@@ -155,6 +168,8 @@ def walk(e: Expr):
             yield from walk(a)
             for _, child in shape:
                 yield from walk(child)
+        case Lookup(key=k):
+            yield from walk(k)
 
 
 def binders(e: Expr) -> list[str]:
@@ -188,6 +203,8 @@ def to_text(e: Expr) -> str:
             return f"{to_text(a)}.{lbl}"
         case Backlink(subject=a, label=lbl, type_name=n):
             return f"{to_text(a)}.<{lbl}[is {n}]"
+        case Lookup(type_name=n, label=lbl, key=k):
+            return f"lookup!({n}.{lbl}, {to_text(k)})"
         case Shaping(subject=a, binder=x, shape=shape):
             inner = ", ".join(f"{lbl} := {to_text(v)}" for lbl, v in shape)
             return f"{to_text(a)} {{{x}| {inner} }}"
@@ -212,6 +229,6 @@ def to_text(e: Expr) -> str:
 
 __all__ = [
     "Expr", "Var", "Prim", "Empty", "Union", "Name", "Proj", "Backlink",
-    "Shaping", "Call", "If", "With", "For", "OrderBy", "Insert", "Update",
+    "Lookup", "Shaping", "Call", "If", "With", "For", "OrderBy", "Insert", "Update",
     "walk", "binders", "to_text",
 ]

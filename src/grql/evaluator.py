@@ -8,11 +8,13 @@ determined up to permutation: with no seed the evaluator uses the canonical
 order (concatenation order, store iteration in id-allocation order); with a
 seed each such step applies a seeded pseudo-random permutation.
 
-Because reads only ever see the initial store, they use two caches that the
-store builds lazily, at most once per store object: the per-type extents
-(`Store.extent`, read by type names) and the reverse-link index
-(`Store.backlinks`, read by `seek`). Writes make new store objects and never
-touch the initial one, so the caches need no updating during a query.
+Because reads only ever see the initial store, they use three caches that
+the store builds lazily, at most once per store object: the per-type extents
+(`Store.extent`, read by type names), the reverse-link index
+(`Store.backlinks`, read by `seek`) and the value index (`Store.lookup`, read
+by the `Lookup` nodes that `simplify` makes of filters). Writes make new
+store objects and never touch the initial one, so the caches need no
+updating during a query.
 """
 
 from __future__ import annotations
@@ -279,6 +281,17 @@ class Evaluator:
             out.extend(seek(self.init, e.type_name, e.label, w.id))
         return self.permute(self._dedup(out)), store
 
+    def _lookup(self, env: Environment, store: Store, e: core.Lookup):
+        keys, store = self.run(env, store, e.key)
+        index = self.init.lookup(e.type_name, e.label)
+        if len(keys) == 1:
+            ids = index.get(keys[0], ())
+        else:
+            # the ids that hold any key, in extent order as the scan gives them
+            hits = set().union(*(index.get(k, ()) for k in keys))
+            ids = [id for id in self.init.extent(e.type_name) if id in hits] if hits else []
+        return self.permute([ObjVal(id, {}) for id in ids]), store
+
     def _shaping(self, env: Environment, store: Store, e: core.Shaping):
         ws, store = self.run(env, store, e.subject)
         out: ValueSeq = []
@@ -380,6 +393,7 @@ _DISPATCH = {
     core.Name: Evaluator._name,
     core.Proj: Evaluator._proj,
     core.Backlink: Evaluator._backlink,
+    core.Lookup: Evaluator._lookup,
     core.Shaping: Evaluator._shaping,
     core.Call: Evaluator._call,
     core.If: Evaluator._if,

@@ -283,6 +283,8 @@ class StoreTuple:
 
 # target id -> (source id, stored reference) pairs, in store scan order
 BacklinkIndex = dict[EntityId, list[tuple[EntityId, StoredRef]]]
+# scalar value -> the ids that hold it, in store scan order
+ValueIndex = dict[ScalarValue, list[EntityId]]
 
 
 @dataclass
@@ -295,11 +297,12 @@ class Store:
     loaded snapshot, a session between queries, a saved file) has none.
     A store is persistent: its `tuples` dict is never mutated once handed out.
 
-    Two read caches are built lazily, at most once per store object: the
+    Three read caches are built lazily, at most once per store object: the
     per-type extents (`extent`) and, per (type, label) pair, the reverse-link
-    index (`backlinks`). Because the tuples never change once the store is
-    shared, and a write makes a new store instead, the caches never need
-    updating. They take no part in construction, `repr` or equality.
+    index (`backlinks`) and the value index (`lookup`). Because the tuples
+    never change once the store is shared, and a write makes a new store
+    instead, the caches never need updating. They take no part in
+    construction, `repr` or equality.
     """
 
     tuples: dict[EntityId, StoreTuple] = field(default_factory=dict)
@@ -307,6 +310,8 @@ class Store:
     _extents: dict[TypeName, list[EntityId]] | None = field(
         default=None, init=False, repr=False, compare=False)
     _backlinks: dict[tuple[TypeName, Label], BacklinkIndex] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+    _lookups: dict[tuple[TypeName, Label], ValueIndex] = field(
         default_factory=dict, init=False, repr=False, compare=False)
 
     def get(self, id: EntityId) -> StoreTuple | None:
@@ -334,6 +339,21 @@ class Store:
                     if isinstance(v, StoredRef):
                         index.setdefault(v.id, []).append((src_id, v))
             self._backlinks[(type_name, label)] = index
+        return index
+
+    def lookup(self, type_name: TypeName, label: Label) -> ValueIndex:
+        """For a scalar label of `type_name`, each value it holds mapped to
+        the ids that hold it, in id-allocation order and each id once
+        (callers must not mutate the index)."""
+        index = self._lookups.get((type_name, label))
+        if index is None:
+            index = {}
+            for id in self.extent(type_name):
+                for v in self.tuples[id].record.get(label, ()):
+                    ids = index.setdefault(v, [])
+                    if not ids or ids[-1] != id:
+                        ids.append(id)
+            self._lookups[(type_name, label)] = index
         return index
 
     def with_tuple(self, id: EntityId, tup: StoreTuple) -> Store:

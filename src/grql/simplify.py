@@ -2,39 +2,56 @@
 evaluator do less work, guided by the cardinalities `synth` computes.
 
 The desugarer runs before type checking, so it binds every built-in argument,
-`if` condition and `update` subject with a `for`, in case the value is not a
-singleton. Two rewrites undo what the types show is not needed:
+`if` condition and `update` subject with a `for`, and every many-valued
+argument with a `with`, in case the value is not a singleton; and it lowers
+`T filter .l = k` to a scan of the whole extent of T. Four rewrites undo what
+the types show is not needed:
 
-1. A singleton `for` becomes a substitution: `for x in s union b` is
+1. A singleton binder becomes a substitution: `for x in s union b` is
    `b[x := s]` when `synth` gives `s` the cardinality [1, 1], `s` is pure and
    total, and either `s` is a variable or literal, or `x` occurs at most once
-   in the simplified `b` and not under an iterating body. `Empty(of_var=x)`
-   becomes `Empty(ty=<type of s>)`.
+   in the simplified `b` and not under an iterating body. `with x := s select
+   b` is `b[x := s]` under the same conditions, whatever the cardinality of
+   `s`. `Empty(of_var=x)` becomes `Empty(ty=<type of s>)`.
 2. A loop-invariant subterm is bound once: a closed, pure, total subterm
    (other than a variable, literal or empty set) under an iterating body is
    bound by a `with` at the top of the query and read through a variable.
+3. A filter on a property probes the value index: the desugarer's
+   `for x in T union for b in C union if!(b; x; empty)`, where T is a type
+   name and C, of cardinality [1, 1], is its test that `x.l` and `k` share
+   a value (from `.l = k`, `k = .l` or `any(eq(.l, k))`), is
+   `Lookup(T, l, k)` when `l` is a scalar label of T and `k` is pure and
+   total and mentions neither `x` nor the binder of `x.l`. `T` itself is never bound by rule 2 here, so a filter
+   whose key reads an outer binder is a probe per outer value, not a scan.
+4. `any!(f!(...))` is `f!(...)` when the row of `f` in `builtins.REGISTRY`
+   returns a [1, 1] bool.
 
 A term is pure when it holds no `insert` or `update`, and total when it calls
 no built-in whose row in `builtins.REGISTRY` says it can fail. Such a term
 reads only the initial store and cannot fault, so evaluating it later (rule
-1), never (rule 1, `x` unused) or earlier (rule 2) gives the same values; the
-canonical evaluation order of everything else is unchanged. An iterating
-body is the body of a `for` whose source may hold more than one value and,
-whatever their subject, an `order by` key and the entries of a shape or an
-`update`.
+1), never (rule 1, `x` unused) or earlier (rules 2 and 3) gives the same
+values; the canonical evaluation order of everything else is unchanged. An
+iterating body is the body of a `for` whose source may hold more than one
+value and, whatever their subject, an `order by` key and the entries of a
+shape or an `update`.
 
-The pass is linear in the size of the term: `synth` records each `for`
-source's type and cardinality, one walk (`scan`) counts each binder's uses
-and decides every rewrite, and one walk (`rebuild`) applies them. It relies
-on binders being distinct, as the desugarer makes them; a term that reuses a
-binder name is returned unchanged.
+The pass is linear in the size of the term: `synth` records the type and
+cardinality of each `for` source and `with` bound, one walk (`scan`) counts
+each binder's uses and decides every rewrite but rule 4, and one walk
+(`rebuild`) applies them. Rule 3 reads the condition as the desugarer wrote
+it, so it does not depend on what rules 1 and 4 make of it; it uses the use
+counts to see that `k` mentions neither binder. The pass relies on binders
+being distinct, as the desugarer makes them; a term that reuses a binder
+name is returned unchanged.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+
 from . import core
 from .builtins import REGISTRY
-from .model import INF, Cardinality, ComputedType, ONE, Schema
+from .model import INF, Cardinality, ComputedType, ONE, ScalarType, Schema
 from .typecheck import synth
 
 # Most subterms one query binds at its top. Each is one more nested `with`
@@ -43,14 +60,20 @@ MAX_HOISTS = 64
 
 _TRIVIAL = (core.Var, core.Prim, core.Empty)
 
+# the built-ins that return one bool, which rule 4 takes out of an any!
+_ONE_BOOL = frozenset(name for name, spec in REGISTRY.items()
+                      if spec.result is ScalarType.BOOL and spec.card == ONE)
+
 
 class _Reused(Exception):
     """A binder name occurs twice: substitution could capture a variable."""
 
 
 class _Simplifier:
-    def __init__(self, fors: dict[int, tuple[ComputedType, Cardinality]]):
-        self.fors = fors  # id(for node) -> its source's (type, cardinality)
+    def __init__(self, schema: Schema, sources: dict[int, tuple[ComputedType, Cardinality]]):
+        self.schema = schema
+        # id(for or with node) -> its source's or bound's (type, cardinality)
+        self.sources = sources
         # per binder: its depth among the binders around it, and the number
         # of iterating bodies around its scope
         self.depth: dict[str, int] = {}
@@ -59,7 +82,9 @@ class _Simplifier:
         # whether a use sits under an iterating body inside its scope
         self.uses: dict[str, int] = {}
         self.iterated: set[str] = set()
-        self.singletons: set[int] = set()  # ids of the for nodes rule 1 removes
+        self.empties: Counter[str] = Counter()  # per binder: the empty sets typed by it
+        self.singletons: set[int] = set()  # ids of the for and with nodes rule 1 removes
+        self.lookups: dict[int, tuple[str, core.Expr]] = {}  # id(for) -> rule 3's (label, key)
         self.invariant: set[int] = set()  # ids of closed, pure, total, non-trivial nodes
         # rebuild state: what each removed binder becomes, and the bindings
         # rule 2 adds, innermost first
@@ -88,7 +113,10 @@ class _Simplifier:
             case core.Prim():
                 return INF, True
             case core.Empty(of_var=x):
-                return (INF if x is None else self.depth[x]), True
+                if x is None:
+                    return INF, True
+                self.empties[x] += 1
+                return self.depth[x], True
             case core.Name():
                 lo, ok = INF, True
             case core.Union(left=a, right=b):
@@ -111,15 +139,19 @@ class _Simplifier:
                 lo, ok = self.scan(a, depth, level)
                 self.bind(x, depth, level)
                 lo_b, ok_b = self.scan(b, depth + 1, level)
+                if ok:
+                    self.substitute(e, a, x)
                 lo, ok = min(lo, _outside(lo_b, depth)), ok and ok_b
             case core.For(source=a, binder=x, body=b):
                 lo, ok = self.scan(a, depth, level)
-                ty, card = self.fors[id(e)]
+                ty, card = self.sources[id(e)]
                 inner = level + (card.hi > 1)
                 self.bind(x, depth, inner)
                 lo_b, ok_b = self.scan(b, depth + 1, inner)
                 if ok:
                     self.singleton_for(e, a, x, card)
+                if ok_b and isinstance(a, core.Name):
+                    self.lookup(e, a.type_name, x, b)
                 lo, ok = min(lo, _outside(lo_b, depth)), ok and ok_b
             case core.OrderBy(source=a, binder=x, key=k):
                 lo, ok = self.scan(a, depth, level)
@@ -148,8 +180,12 @@ class _Simplifier:
     def singleton_for(self, e: core.For, s: core.Expr, x: str, card: Cardinality) -> None:
         """Rule 1 for a `for` over a pure, total source of cardinality
         `card`, once its body has been scanned."""
-        if card != ONE:
-            return
+        if card == ONE:
+            self.substitute(e, s, x)
+
+    def substitute(self, e: core.For | core.With, s: core.Expr, x: str) -> None:
+        """Rule 1 for a binder `x` of a pure, total `s` that holds one value
+        or is bound by a `with`, once the binder's scope has been scanned."""
         if isinstance(s, core.Var):
             # every use of x becomes a use of s's variable
             self.uses[s.name] += self.uses[x] - 1
@@ -158,6 +194,30 @@ class _Simplifier:
         elif not isinstance(s, core.Prim) and (self.uses[x] > 1 or x in self.iterated):
             return
         self.singletons.add(id(e))
+
+    def lookup(self, e: core.For, type_name: str, x: str, body: core.Expr) -> None:
+        """Rule 3 for `for x in type_name union body`, a pure, total body,
+        once it has been scanned."""
+        match body:
+            # the desugarer's if, here over one bool, keeping x or nothing
+            case core.For(source=c, binder=b, body=core.If(
+                    cond=core.Var(name=b1), then_branch=core.Var(name=x1),
+                    else_branch=core.Empty() as f)
+                    ) if (b1, x1) == (b, x) and self.sources[id(body)][1] == ONE:
+                found = _membership(c, x)
+            case _:
+                found = None
+        if found is None:
+            return
+        label, key, y = found
+        sty, _ = self.schema.types[type_name].labels.get(label, (None, None))
+        # x.l and the then-branch are the only uses of x, the test the only
+        # use of y, and no empty set but the else-branch takes its type from
+        # either: the key mentions neither
+        if (isinstance(sty, ScalarType) and self.uses[x] == 2
+                and self.empties[x] == (f.of_var == x)
+                and (y is None or (self.uses[y] == 1 and not self.empties[y]))):
+            self.lookups[id(e)] = label, key
 
     def fresh(self) -> str:
         k = len(self.hoists)
@@ -196,19 +256,26 @@ class _Simplifier:
             case core.Backlink(subject=a, label=lbl, type_name=n):
                 return core.Backlink(go(a, iterating), lbl, n, span=span)
             case core.Call(fn=fn, args=args):
-                return core.Call(fn, [go(a, iterating) for a in args], span=span)
+                args = [go(a, iterating) for a in args]
+                if fn == "any" and isinstance(args[0], core.Call) and args[0].fn in _ONE_BOOL:
+                    return args[0]
+                return core.Call(fn, args, span=span)
             case core.If(cond=c, then_branch=t, else_branch=f):
                 return core.If(go(c, iterating), go(t, iterating), go(f, iterating), span=span)
+            case core.With(bound=a, binder=x, body=b) | core.For(
+                    source=a, binder=x, body=b) if id(e) in self.singletons:
+                if self.uses[x]:
+                    self.subst[x] = go(a, iterating)
+                self.retype[x] = self.sources[id(e)][0]
+                return go(b, iterating)
             case core.With(bound=a, binder=x, body=b):
                 return core.With(go(a, iterating), x, go(b, iterating), span=span)
+            case core.For(source=core.Name(type_name=n)) if id(e) in self.lookups:
+                label, key = self.lookups[id(e)]
+                return core.Lookup(n, label, go(key, iterating), span=span)
             case core.For(source=a, binder=x, body=b):
-                ty, card = self.fors[id(e)]
-                if id(e) in self.singletons:
-                    if self.uses[x]:
-                        self.subst[x] = go(a, iterating)
-                    self.retype[x] = ty
-                    return go(b, iterating)
-                return core.For(go(a, iterating), x, go(b, iterating or card.hi > 1), span=span)
+                many = self.sources[id(e)][1].hi > 1
+                return core.For(go(a, iterating), x, go(b, iterating or many), span=span)
             case core.OrderBy(source=a, binder=x, key=k):
                 return core.OrderBy(go(a, iterating), x, go(k, True), span=span)
             case core.Shaping(subject=a, binder=x, shape=shape):
@@ -222,6 +289,28 @@ class _Simplifier:
         raise TypeError(f"unknown core node {e!r}")
 
 
+def _membership(c: core.Expr, x: str) -> tuple[str, core.Expr, str | None] | None:
+    """`(l, k, y)` when the condition `c` is the desugarer's test that `x.l`
+    and `k` share a value: `for y in x.l union for z in k union eq!(y, z)`
+    (or with `k` first and no `y` around it), bare, under `any!` or bound
+    by a `with` that `any!` reads; `y` is the binder whose scope holds `k`."""
+    match c:
+        case core.Call(fn="any", args=[core.With(
+                bound=m, binder=v, body=core.Call(fn="any", args=[core.Var(name=v1)]))]) if v1 == v:
+            c = m
+        case core.Call(fn="any", args=[m]):
+            c = m
+    match c:
+        case core.For(source=a, binder=y, body=core.For(source=b, binder=z, body=core.Call(
+                fn="eq", args=[core.Var(name=y1), core.Var(name=z1)]))) if (y1, z1) == (y, z):
+            match a, b:
+                case core.Proj(subject=core.Var(name=x1), label=label), _ if x1 == x:
+                    return label, b, y
+                case _, core.Proj(subject=core.Var(name=x1), label=label) if x1 == x:
+                    return label, a, None
+    return None
+
+
 def _outside(lo: float, depth: int) -> float:
     """The least depth of a free binder of a binder's scope, leaving out the
     binder itself (at `depth`; the scope's other free binders are shallower)."""
@@ -229,13 +318,13 @@ def _outside(lo: float, depth: int) -> float:
 
 
 def simplify(schema: Schema, e: core.Expr) -> core.Expr:
-    """`e`, well typed in the empty context, rewritten by the two rules in
+    """`e`, well typed in the empty context, rewritten by the four rules in
     the module docstring. The result has the same type and cardinality, and
     evaluates to the same canonical result, store and next id. Raises
     TypeCheckError when `e` is not well typed."""
-    fors: dict[int, tuple[ComputedType, Cardinality]] = {}
-    synth(schema, {}, e, fors)
-    s = _Simplifier(fors)
+    sources: dict[int, tuple[ComputedType, Cardinality]] = {}
+    synth(schema, {}, e, sources)
+    s = _Simplifier(schema, sources)
     try:
         s.scan(e, 0, 0)
     except _Reused:

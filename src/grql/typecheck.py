@@ -80,11 +80,11 @@ def _validate_annotation(schema: Schema, ty: ComputedType, span: Span | None) ->
 
 
 def synth(schema: Schema, ctx: Context, e: core.Expr,
-          fors: dict[int, tuple[ComputedType, Cardinality]] | None = None,
+          sources: dict[int, tuple[ComputedType, Cardinality]] | None = None,
           ) -> tuple[ComputedType, Cardinality]:
-    """The type and cardinality of `e` in `ctx`. When `fors` is given, it also
-    collects the source's type and cardinality of every `for` node in `e`,
-    keyed by the node's `id`."""
+    """The type and cardinality of `e` in `ctx`. When `sources` is given, it
+    also collects the type and cardinality of the source of every `for` node
+    and of the bound of every `with` node in `e`, keyed by the node's `id`."""
     match e:
         case core.Var(name=n):
             if n not in ctx:
@@ -103,8 +103,8 @@ def synth(schema: Schema, ctx: Context, e: core.Expr,
             return ty, Cardinality(0, 0)
 
         case core.Union(left=a, right=b):
-            ta, ma = synth(schema, ctx, a, fors)
-            tb, mb = synth(schema, ctx, b, fors)
+            ta, ma = synth(schema, ctx, a, sources)
+            tb, mb = synth(schema, ctx, b, sources)
             if ta != tb:
                 raise TypeCheckError(
                     "BranchTypeMismatch", f"union operands have different types: {ta} vs {tb}", e.span
@@ -117,7 +117,7 @@ def synth(schema: Schema, ctx: Context, e: core.Expr,
             return ObjType(n, {}), MANY
 
         case core.Proj(subject=subj, label=lbl):
-            tsubj, msubj = synth(schema, ctx, subj, fors)
+            tsubj, msubj = synth(schema, ctx, subj, sources)
             if not isinstance(tsubj, ObjType):
                 raise TypeCheckError("NotAnObject", f"cannot project {lbl} from {tsubj}", e.span)
             if lbl in tsubj.entries:
@@ -140,7 +140,7 @@ def synth(schema: Schema, ctx: Context, e: core.Expr,
             sty, _ = decl.labels[lbl]
             if not isinstance(sty, StoredRefType):
                 raise TypeCheckError("NoSuchLabel", f"{n}.{lbl} is a property, not a link", e.span)
-            tsubj, _ = synth(schema, ctx, subj, fors)
+            tsubj, _ = synth(schema, ctx, subj, sources)
             if not isinstance(tsubj, ObjType):
                 raise TypeCheckError("NotAnObject", "backlink subject must be an object", e.span)
             if tsubj.target != sty.target:
@@ -153,18 +153,18 @@ def synth(schema: Schema, ctx: Context, e: core.Expr,
             return ObjType(n, entries), MANY
 
         case core.Shaping(subject=subj, binder=x, shape=shape):
-            tsubj, msubj = synth(schema, ctx, subj, fors)
+            tsubj, msubj = synth(schema, ctx, subj, sources)
             if not isinstance(tsubj, ObjType):
                 raise TypeCheckError("NotAnObject", "only objects can be shaped", e.span)
             inner = {**ctx, x: (tsubj, ONE)}
             new_entries = []
             for lbl, expr in shape:
-                ety, ecard = synth(schema, inner, expr, fors)
+                ety, ecard = synth(schema, inner, expr, sources)
                 new_entries.append((lbl, (ety, ecard)))
             return extend_type(tsubj, new_entries), msubj
 
         case core.Call(fn=fn, args=args):
-            arg_results = [synth(schema, ctx, a, fors) for a in args]
+            arg_results = [synth(schema, ctx, a, sources) for a in args]
             result = resolve_builtin(fn, [t for t, _ in arg_results], e.span)
             for i, ((_, m), mod) in enumerate(zip(arg_results, REGISTRY[fn].modifiers)):
                 bound = MODIFIER_CARD[mod]
@@ -177,15 +177,15 @@ def synth(schema: Schema, ctx: Context, e: core.Expr,
             return result
 
         case core.If(cond=c, then_branch=t, else_branch=f):
-            tc, mc = synth(schema, ctx, c, fors)
+            tc, mc = synth(schema, ctx, c, sources)
             if tc is not ScalarType.BOOL:
                 raise TypeCheckError("BranchTypeMismatch", f"condition must be bool, got {tc}", e.span)
             if mc != ONE:
                 raise TypeCheckError(
                     "CardinalityExceeded", f"condition must have cardinality [1, 1], got {mc}", e.span
                 )
-            tt, mt = synth(schema, ctx, t, fors)
-            tf, mf = synth(schema, ctx, f, fors)
+            tt, mt = synth(schema, ctx, t, sources)
+            tf, mf = synth(schema, ctx, f, sources)
             if tt != tf:
                 raise TypeCheckError(
                     "BranchTypeMismatch", f"branches have different types: {tt} vs {tf}", e.span
@@ -193,19 +193,21 @@ def synth(schema: Schema, ctx: Context, e: core.Expr,
             return tt, card_if_join(mt, mf)
 
         case core.With(bound=bd, binder=x, body=b):
-            tb, mb = synth(schema, ctx, bd, fors)
-            return synth(schema, {**ctx, x: (tb, mb)}, b, fors)
+            tb, mb = synth(schema, ctx, bd, sources)
+            if sources is not None:
+                sources[id(e)] = tb, mb
+            return synth(schema, {**ctx, x: (tb, mb)}, b, sources)
 
         case core.For(source=src, binder=x, body=b):
-            ts, ms = synth(schema, ctx, src, fors)
-            if fors is not None:
-                fors[id(e)] = ts, ms
-            tbody, mbody = synth(schema, {**ctx, x: (ts, ONE)}, b, fors)
+            ts, ms = synth(schema, ctx, src, sources)
+            if sources is not None:
+                sources[id(e)] = ts, ms
+            tbody, mbody = synth(schema, {**ctx, x: (ts, ONE)}, b, sources)
             return tbody, card_mul(ms, mbody)
 
         case core.OrderBy(source=src, binder=x, key=k):
-            ts, ms = synth(schema, ctx, src, fors)
-            tkey, mkey = synth(schema, {**ctx, x: (ts, ONE)}, k, fors)
+            ts, ms = synth(schema, ctx, src, sources)
+            tkey, mkey = synth(schema, {**ctx, x: (ts, ONE)}, k, sources)
             if not isinstance(tkey, ScalarType) or not card_le(mkey, AT_MOST_ONE):
                 raise TypeCheckError(
                     "KeyNotOptionalSingle",
@@ -232,12 +234,12 @@ def synth(schema: Schema, ctx: Context, e: core.Expr,
             by_label = dict(shape)
             entries = {}
             for lbl, (sty, scard) in decl.labels.items():
-                ety = check_against_stored(schema, ctx, by_label[lbl], sty, scard, fors)
+                ety = check_against_stored(schema, ctx, by_label[lbl], sty, scard, sources)
                 entries[lbl] = (ety, scard)
             return ObjType(n, entries), ONE
 
         case core.Update(subject=subj, binder=x, shape=shape):
-            tsubj, msubj = synth(schema, ctx, subj, fors)
+            tsubj, msubj = synth(schema, ctx, subj, sources)
             if not isinstance(tsubj, ObjType) or msubj != ONE:
                 raise TypeCheckError(
                     "BadUpdateSubject",
@@ -253,9 +255,23 @@ def synth(schema: Schema, ctx: Context, e: core.Expr,
                 if is_link_prop(lbl) or lbl not in decl.labels:
                     raise TypeCheckError("NoSuchLabel", f"{tsubj.target} has no label {lbl}", e.span)
                 sty, scard = decl.labels[lbl]
-                ety = check_against_stored(schema, inner, expr, sty, scard, fors)
+                ety = check_against_stored(schema, inner, expr, sty, scard, sources)
                 entries[lbl] = (ety, scard)
             return ObjType(tsubj.target, entries), AT_MOST_ONE
+
+        case core.Lookup(type_name=n, label=lbl, key=k):
+            decl = schema.decl(n)
+            if decl is None:
+                raise TypeCheckError("UnknownName", f"unknown type {n!r}", e.span)
+            sty, _ = decl.labels.get(lbl, (None, None))
+            if not isinstance(sty, ScalarType):
+                raise TypeCheckError("NoSuchLabel", f"{n} has no property {lbl}", e.span)
+            tk, _ = synth(schema, ctx, k, sources)
+            if tk is not sty:
+                raise TypeCheckError(
+                    "StoreTypeMismatch", f"lookup key is {tk}, but {n}.{lbl} holds {sty}", e.span
+                )
+            return ObjType(n, {}), MANY
 
     raise TypeError(f"unknown core node {e!r}")
 
@@ -266,11 +282,11 @@ def check_against_stored(
     e: core.Expr,
     ty: StoredType,
     m: Cardinality,
-    fors: dict[int, tuple[ComputedType, Cardinality]] | None = None,
+    sources: dict[int, tuple[ComputedType, Cardinality]] | None = None,
 ) -> ComputedType:
     """Check an expression against a stored type and mode (the insert/update
     auxiliary judgment); returns the synthesized computed type."""
-    te, me = synth(schema, ctx, e, fors)
+    te, me = synth(schema, ctx, e, sources)
     if not card_le(me, m):
         raise TypeCheckError(
             "CardinalityExceeded", f"expression has cardinality {me}, not within {m}", e.span

@@ -1,0 +1,240 @@
+"""`Lookup`, the value-index probe that `simplify` makes of a filter on a
+property, keeps the filter's meaning and does work that does not grow with
+the store.
+
+The property runs each filter query twice on generated stores, as the
+desugarer wrote it (a scan) and simplified (a probe), and asks for the same
+type, canonical bytes, store and next id, and under seeds the same results up
+to permutation; a deliberately broken probe fails it. Work counters, never
+times, gate what the index saves."""
+
+import importlib
+import random
+from collections import Counter
+from pathlib import Path
+
+import pytest
+
+from grql import core, evaluator
+from grql.cli import Session, typed_query
+from grql.evaluator import EvalConfig, EvalFault, evaluate
+from grql.harness import GenConfig, Instance, gen_instance
+from grql.model import (
+    INF, Cardinality, IntVal, ObjType, ScalarType, Store, StoreTuple, StrVal, olabel,
+)
+from grql.parser import parse_schema
+from grql.serialize import serialize, to_json_text
+from grql.simplify import simplify
+from grql.store_io import load_seed, load_snapshot
+from grql.typecheck import TypeCheckError, synth
+from grql.wellformed import check_store
+from test_read_path import CountingDict
+from test_simplify import _Counting, equivalence_failure, simplify_visits
+
+BENCH_DIR = Path(__file__).parent.parent / "bench"
+
+# one [1, 1], one [0, 1] and one multi scalar label
+SCHEMA_TEXT = """
+type Item {
+  required code: int64;
+  tag: str;
+  multi words: str;
+};
+"""
+WORDS = ("a", "b", "c", "d")
+
+# keys with no value, one value, several values (one repeated), and values
+# no item holds
+INT_KEYS = ("1", "99", "<int64>{}", "{3, 1, 1}", "{99, 2}", "{4, 0}")
+STR_KEYS = ('"a"', '"zz"', "<str>{}", '{"c", "a", "c"}', '{"zz", "b"}', '{"d", "b"}')
+QUERIES = (
+    [f"Item filter .code = {k}" for k in INT_KEYS]
+    + [f"Item filter {k} = .code" for k in INT_KEYS]
+    + [f"Item filter any(eq(.code, {k}))" for k in INT_KEYS]
+    + [f"Item filter .tag = {k}" for k in STR_KEYS]
+    + [f"Item filter .words = {k}" for k in STR_KEYS]
+    + [f"Item filter any(eq(.words, {k}))" for k in STR_KEYS]
+    + [
+        # keys that read an outer binder, one of them many-valued
+        "for p in Item union (Item filter .code = p.code)",
+        "for p in Item union (Item filter .words = p.words)",
+        "for p in Item union (Item filter .tag = p.words) { code }",
+        # a key that is itself a probe, and a probe under a shape
+        '(Item filter .tag = (Item filter .words = "a").tag) { code, words }',
+        # writes beside probes: the store and the next id must agree too
+        'update (Item filter .words = {"b", "a"}) set { code := .code + 1 }',
+        'insert Item { code := count(Item filter .tag = "a"), tag := <str>{}, '
+        'words := (Item filter .code = 2).tag }',
+    ]
+)
+
+
+def _item_store(seed: int) -> Store:
+    """A store of up to 12 items over a few values, so keys collide; ids are
+    not allocated in extent order, and a multi label may repeat a value."""
+    rng = random.Random(seed)
+    ids = [str(i) for i in range(1, rng.randrange(13) + 1)]
+    rng.shuffle(ids)
+    return Store({id: StoreTuple("Item", {
+        "code": [IntVal(rng.randrange(5))],
+        "tag": [StrVal(rng.choice(WORDS))] if rng.random() < 0.6 else [],
+        "words": [StrVal(rng.choice(WORDS)) for _ in range(rng.randrange(4))],
+    }) for id in ids})
+
+
+def _bytes(schema, store, e, ty, card):
+    try:
+        out = evaluate(schema, EvalConfig(), {}, store, e)
+    except EvalFault as exc:
+        return exc.code
+    return to_json_text(serialize(out.result, ty, card), pretty=True)
+
+
+def lookup_failure(schema, store, query: str, seed: int) -> str | None:
+    """Why the probe differs from the scan for this query and store, or None."""
+    e, ty, card = typed_query(schema, query)
+    simplified = simplify(schema, e)
+    if not any(isinstance(n, core.Lookup) for n in core.walk(simplified)):
+        return "no lookup"
+    if _bytes(schema, store, simplified, ty, card) != _bytes(schema, store, e, ty, card):
+        return "the canonical bytes differ"
+    return equivalence_failure(Instance(schema, store, e, ty, card, GenConfig(seed=seed)))
+
+
+def _cases():
+    schema, diags = parse_schema(SCHEMA_TEXT)
+    assert not diags
+    for seed in range(40):
+        store = _item_store(seed)
+        assert check_store(schema, store) == []
+        for query in QUERIES:
+            yield schema, store, query, seed
+
+
+def test_a_lookup_gives_what_the_scan_gives():
+    for schema, store, query, seed in _cases():
+        assert lookup_failure(schema, store, query, seed) is None, (seed, query)
+
+
+def _key_order_lookup(self, env, store, e):
+    """A deliberately broken probe: the ids of each key in turn, so several
+    keys give their ids in key order, not extent order."""
+    keys, store = self.run(env, store, e.key)
+    index = self.init.lookup(e.type_name, e.label)
+    ids = list(dict.fromkeys(id for k in keys for id in index.get(k, ())))
+    return self.permute([evaluator.ObjVal(id, {}) for id in ids]), store
+
+
+def test_a_lookup_in_key_order_fails_the_property(monkeypatch):
+    monkeypatch.setitem(evaluator._DISPATCH, core.Lookup, _key_order_lookup)
+    failures = Counter(lookup_failure(*case) for case in _cases())
+    assert failures["the canonical bytes differ"] > 0, "broken lookup evaded the check"
+
+
+def test_the_value_index_matches_a_brute_force_scan():
+    compared = 0
+    for seed in range(300):
+        inst = gen_instance(GenConfig(seed=seed))
+        for type_name, decl in inst.schema.types.items():
+            for label, (sty, _) in decl.labels.items():
+                if not isinstance(sty, ScalarType):
+                    continue
+                expected: dict = {}
+                for id, tup in inst.store.tuples.items():
+                    if tup.type_name == type_name:
+                        for v in tup.record[label]:
+                            if id not in expected.setdefault(v, []):
+                                expected[v].append(id)
+                assert inst.store.lookup(type_name, label) == expected
+                compared += len(expected)
+    assert compared > 500
+
+
+def test_synth_types_a_lookup_and_checks_its_key():
+    schema = load_seed().schema
+    person = ObjType("Person", {})
+    lookup = core.Lookup("Person", olabel("age"), core.Prim(IntVal(30)))
+    assert synth(schema, {}, lookup) == (person, Cardinality(0, INF))
+    bad = [
+        (core.Lookup("Person", olabel("age"), core.Prim(StrVal("30"))), "StoreTypeMismatch"),
+        (core.Lookup("Movie", olabel("directors"), core.Var("p")), "NoSuchLabel"),
+        (core.Lookup("Nobody", olabel("age"), core.Prim(IntVal(30))), "UnknownName"),
+    ]
+    for e, code in bad:
+        with pytest.raises(TypeCheckError) as info:
+            synth(schema, {"p": (person, Cardinality(1, 1))}, e)
+        assert info.value.code == code
+
+
+def test_a_key_that_takes_its_type_from_the_filtered_object_stays_a_scan():
+    # count!(empty[type-of x]) names x without using it; a lookup would
+    # leave it unbound
+    schema, store = load_seed().schema, load_seed().store
+    x, y, z, b = "x", "y", "z", "b"
+    key = core.Call("count", [core.Empty(of_var=x)])
+    test = core.For(core.Proj(core.Var(x), olabel("age")), y,
+                    core.For(key, z, core.Call("eq", [core.Var(y), core.Var(z)])))
+    e = core.For(core.Name("Person"), x, core.For(
+        core.Call("any", [test]), b, core.If(core.Var(b), core.Var(x), core.Empty(of_var=x))))
+    ty, card = synth(schema, {}, e)
+    assert not any(isinstance(n, core.Lookup) for n in core.walk(simplify(schema, e)))
+    assert equivalence_failure(Instance(schema, store, e, ty, card, GenConfig())) is None
+
+
+# -- work counters -------------------------------------------------------------
+
+def _bench_snapshot(monkeypatch, n: int):
+    monkeypatch.syspath_prepend(str(BENCH_DIR))
+    gen = importlib.import_module("gen")
+    model, _, _ = gen.generate(1, n)
+    return model, load_snapshot(model.snapshot_text())
+
+
+def test_a_filter_on_a_name_evaluates_the_same_nodes_at_any_store_size(monkeypatch):
+    counts = []
+    for n in (300, 600):
+        model, snap = _bench_snapshot(monkeypatch, n)
+        name = next(iter(model.persons.values())).name
+        e, _, _ = typed_query(snap.schema, f'Person filter .name = "{name}"')
+        ev = _Counting(snap.schema, EvalConfig(), snap.store)
+        result, _ = ev.run({}, snap.store, simplify(snap.schema, e))
+        assert len(result) == 1
+        counts.append(dict(ev.nodes))
+    assert counts[0] == counts[1] == {"Lookup": 1, "Prim": 1}
+
+
+def test_the_value_index_is_built_once_per_store():
+    tuples = CountingDict(load_seed().store.tuples)
+    store = Store(tuples)
+    index = store.lookup("Person", olabel("name"))
+    counts = (tuples.walks, tuples.lookups)
+    assert store.lookup("Person", olabel("name")) is index
+    assert (tuples.walks, tuples.lookups) == counts
+
+
+def test_read_only_queries_keep_the_value_index():
+    snap = load_seed()
+    tuples = CountingDict(snap.store.tuples)
+    session = Session(snap.schema, Store(tuples), snap.schema_text, snap.next_id)
+    store = session.store
+    query = 'Person filter .name = "Megan Wolf"'
+    assert len(session.run_query(query)[0]) == 1
+    index = store.lookup("Person", olabel("name"))
+    counts = (tuples.walks, tuples.lookups)
+    session.run_query("count(Person)")
+    assert len(session.run_query(query)[0]) == 1
+    assert session.store is store and store.lookup("Person", olabel("name")) is index
+    assert (tuples.walks, tuples.lookups) == counts
+
+
+def test_simplify_visits_each_node_of_nested_filters_a_bounded_number_of_times(monkeypatch):
+    nested = [f"(Person filter .name = (Person filter .born = "
+              f"(Person filter .age = {i}).name).born)" for i in range(300)]
+    query = "{" + ", ".join(nested) + "} union (for p in Person union (Person filter .age = p.age))"
+    snap = load_seed()
+    e, _, _ = typed_query(snap.schema, query)
+    size = sum(1 for _ in core.walk(e))
+    out, visits = simplify_visits(monkeypatch, snap.schema, e)
+    assert size > 10_000 and visits["scan"] == size
+    assert sum(visits.values()) <= 4 * size
+    assert sum(isinstance(n, core.Lookup) for n in core.walk(out)) == 3 * 300 + 1

@@ -124,15 +124,19 @@ def _simplified(query: str) -> str:
 
 @pytest.mark.parametrize("query, text", [
     # a literal source replaces every use of its binder; so does a [1, 1]
-    # projection used once, outside iterating bodies
-    ("Person filter .age = 30",
-     "for $0 in Person union if!(any!(eq!($0.age, 30)); $0; empty[type-of $0])"),
-    ("for m in count(Person) union m + 1", "add!(with $0 := Person select count!($0), 1)"),
+    # projection used once, outside iterating bodies (a filter whose source
+    # is not a type name, which rule 3 leaves a scan)
+    ("Movie.directors filter .age = 30",
+     "for $0 in Movie.directors union if!(eq!($0.age, 30); $0; empty[type-of $0])"),
+    ("for m in count(Person) union m + 1", "add!(count!(Person), 1)"),
     # empty[type-of x] of a removed binder x takes the type of x's source
     ('"a" filter true', "if!(any!(tt); 'a'; empty[str])"),
     # a variable source replaces every use, whatever their number
     ("for x in count(Person) union x + x",
-     "for $1 in with $0 := Person select count!($0) union add!($1, $1)"),
+     "for $1 in count!(Person) union add!($1, $1)"),
+    # a with binder used once, outside iterating bodies, whatever the
+    # cardinality of its bound
+    ("with s := {1, 2} select count(s)", "count!((1 union 2))"),
 ])
 def test_a_singleton_for_becomes_a_substitution(query, text):
     assert _simplified(query) == text
@@ -140,16 +144,17 @@ def test_a_singleton_for_becomes_a_substitution(query, text):
 
 @pytest.mark.parametrize("query, text", [
     # the one use is under an iterating body: count(Person) would run once
-    # per movie
-    ("for m in count(Person) union (Movie filter .year = m)",
-     "for $1 in with $0 := Person select count!($0) union for $2 in Movie union "
-     "if!(any!(eq!($2.year, $1)); $2; empty[type-of $2])"),
+    # per movie year
+    ("for m in count(Person) union (for y in Movie.year union y + m)",
+     "for $1 in count!(Person) union for $2 in Movie.year union add!($2, $1)"),
     # the source is not a variable or literal and is used twice
     ("for m in count(Person) union {m, m}",
-     "for $1 in with $0 := Person select count!($0) union ($1 union $1)"),
+     "for $1 in count!(Person) union ($1 union $1)"),
     # ... also when the uses come from substituting a variable source
     ("for m in count(Person) union (for k in m union {k, k})",
-     "for $1 in with $0 := Person select count!($0) union ($1 union $1)"),
+     "for $1 in count!(Person) union ($1 union $1)"),
+    # ... also for a with binder
+    ("with n := count(Movie) select n + n", "with $1 := count!(Movie) select add!($1, $1)"),
     # the source can fault (add) or writes (insert)
     ("for x in 1 + 2 union x", "for $2 in add!(1, 2) union $2"),
     ('for p in (insert Person { name := "N", age := 1, born := <str>{} }) union p.name',
@@ -163,17 +168,72 @@ def test_a_for_stays_when_substitution_could_cost_or_change_more(query, text):
 
 @pytest.mark.parametrize("query, text", [
     ("Person { n := count(Movie) }",
-     "with $c0 := with $1 := Movie select count!($1) select Person {$0| n := $c0 }"),
+     "with $c0 := count!(Movie) select Person {$0| n := $c0 }"),
+    # a filter over a type name is one probe (rule 3), so its key needs no
+    # binding; over another source the in-list literal is bound once
     ('(Person filter any(eq(.name, {"a", "b", "c"}))).name',
-     "with $c0 := (('a' union 'b') union 'c') select for $0 in Person union "
-     "if!(any!(with $3 := for $1 in $0.name union for $2 in $c0 union eq!($1, $2) "
-     "select any!($3)); $0; empty[type-of $0]).name"),
+     "lookup!(Person.name, (('a' union 'b') union 'c')).name"),
+    ('((Person filter .age = 30) filter any(eq(.name, {"a", "b", "c"}))).name',
+     "with $c0 := (('a' union 'b') union 'c') select for $4 in lookup!(Person.age, 30) union "
+     "if!(any!(for $5 in $4.name union for $6 in $c0 union eq!($5, $6)); $4; "
+     "empty[type-of $4]).name"),
     # outside iterating bodies nothing is bound
-    ("count(Movie)", "with $0 := Movie select count!($0)"),
+    ("count(Movie)", "count!(Movie)"),
     # a subterm that can fault is evaluated where it stands
     ("Person { n := 1 + 2 }", "Person {$0| n := add!(1, 2) }"),
 ])
 def test_a_loop_invariant_subterm_is_bound_once(query, text):
+    assert _simplified(query) == text
+
+
+@pytest.mark.parametrize("query, text", [
+    ("Person filter .age = 38", "lookup!(Person.age, 38)"),
+    ("Person filter 38 = .age", "lookup!(Person.age, 38)"),
+    # a [0, 1] label, and a key of several values
+    ('Person filter .born = "Ottawa"', "lookup!(Person.born, 'Ottawa')"),
+    ('Person filter any(eq(.name, {"a", "b"}))', "lookup!(Person.name, ('a' union 'b'))"),
+    # a key that reads an outer binder: one probe per person, not a scan
+    ("for p in Person union (Person filter .age = p.age)",
+     "for $0 in Person union lookup!(Person.age, $0.age)"),
+    ("for m in count(Person) union (Movie filter .year = m)",
+     "for $1 in count!(Person) union lookup!(Movie.year, $1)"),
+    # the same test written as an if whose then-branch is the binder
+    ("for x in Person union (if x.age = 38 then x else <Person>{})", "lookup!(Person.age, 38)"),
+])
+def test_a_filter_on_a_property_becomes_a_lookup(query, text):
+    assert _simplified(query) == text
+    assert equivalence_failure(_query_instance(query)) is None
+
+
+@pytest.mark.parametrize("query", [
+    # a link label
+    "for p in Person union (Movie filter .directors = p)",
+    # a key that mentions the filter's binder
+    "Person filter .age = .age",
+    # a key that writes
+    'Person filter .name = (insert Person { name := "N", age := 1, born := <str>{} }).name',
+    # a key that can fault
+    "Person filter .age = 1 + 2",
+    # a source that is not a type name
+    "Movie.directors filter .age = 38",
+    # a then-branch other than the binder
+    "for x in Person union (if x.age = 38 then x.name else <str>{})",
+    # an if over two bools keeps each person twice
+    "for x in Person union (if x.age = {38, 38} then x else <Person>{})",
+])
+def test_a_filter_stays_a_scan_when_a_lookup_could_differ(query):
+    assert "lookup!" not in _simplified(query)
+    assert equivalence_failure(_query_instance(query)) is None
+
+
+@pytest.mark.parametrize("query, text", [
+    ("Person filter .age < 38", "for $0 in Person union if!(lt!($0.age, 38); $0; empty[type-of $0])"),
+    ("any(not(true))", "not!(tt)"),
+    # any over a many-valued argument stays
+    ("any({true, false})", "any!((tt union ff))"),
+    ("not(any(Person.age = 3))", "not!(any!(for $0 in Person.age union eq!($0, 3)))"),
+])
+def test_an_any_of_one_bool_is_that_bool(query, text):
     assert _simplified(query) == text
 
 
@@ -225,11 +285,12 @@ def _count(snap, query: str) -> _Counting:
 def test_a_filter_evaluates_no_for_and_a_fixed_number_of_nodes_per_person(scaled):
     model, snap = scaled
     persons = len(model.persons)
-    ev = _count(snap, "Person filter .age = 30")
+    # a condition rule 3 does not rewrite: the filter stays a scan
+    ev = _count(snap, "Person filter .age < 30")
     assert ev.nodes["For"] == 1
-    # for, Person; per person: if, any, eq, .age, its subject, 30, and the
-    # kept person or the empty set
-    assert sum(ev.nodes.values()) == 2 + 7 * persons
+    # for, Person; per person: if, lt, .age, its subject, 30, and the kept
+    # person or the empty set (rule 4 took lt out of its any)
+    assert sum(ev.nodes.values()) == 2 + 6 * persons
 
 
 def test_an_in_list_literal_is_evaluated_once_per_query(scaled):
@@ -240,11 +301,9 @@ def test_an_in_list_literal_is_evaluated_once_per_query(scaled):
     assert len(model.persons) > 200 and ev.strings == 200
 
 
-def test_simplify_visits_each_node_a_bounded_number_of_times(monkeypatch, store_file):
-    query = "1 ?? (" * 11 + "1" + ")" * 11
-    snap = load_seed()
-    e, _, _ = typed_query(snap.schema, query)
-    size = sum(1 for _ in core.walk(e))
+def simplify_visits(monkeypatch, schema, e):
+    """`simplify(schema, e)` and the visits it made, by walk: `synth`, `scan`,
+    `rebuild` and rule 3's check."""
     visits = Counter()
 
     def counted(name, fn):
@@ -254,11 +313,20 @@ def test_simplify_visits_each_node_a_bounded_number_of_times(monkeypatch, store_
         return wrapper
 
     monkeypatch.setattr(typecheck, "synth", counted("synth", typecheck.synth))
-    for name in ("scan", "rebuild"):
+    for name in ("scan", "rebuild", "lookup"):
         method = getattr(grql.simplify._Simplifier, name)
         monkeypatch.setattr(grql.simplify._Simplifier, name, counted(name, method))
-    simplify(snap.schema, e)
+    out = simplify(schema, e)
+    monkeypatch.undo()
+    return out, visits
+
+
+def test_simplify_visits_each_node_a_bounded_number_of_times(monkeypatch, store_file):
+    query = "1 ?? (" * 11 + "1" + ")" * 11
+    snap = load_seed()
+    e, _, _ = typed_query(snap.schema, query)
+    size = sum(1 for _ in core.walk(e))
+    _, visits = simplify_visits(monkeypatch, snap.schema, e)
     assert size > 40_000 and visits["scan"] == size
     assert sum(visits.values()) <= 4 * size
-    monkeypatch.undo()
     assert main(["run", str(store_file), query]) == 0
