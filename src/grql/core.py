@@ -67,12 +67,14 @@ class Backlink(Expr):
 
 @dataclass
 class Lookup(Expr):
-    """The ids of `type_name` whose scalar label `label` holds a value of
-    `key`, read from the store's value index; by definition
-    `for x in T union if!(any!(for y in x.l union for z in key union
-    eq!(y, z)); x; empty)`, with `key` pure, total and free of x and y."""
+    """The elements of `source` whose scalar label `label` holds a value of
+    `key`, in source order and with the source's duplicates; by definition
+    `for x in source union if!(any!(for y in x.l union for z in key union
+    eq!(y, z)); x; empty)`, with `key` pure, total and free of x and y. Over
+    a type name it is one probe of the store's value index; over any other
+    source, a hash semi-join of the source's elements with the key's values."""
 
-    type_name: str
+    source: Expr
     label: Label
     key: Expr
 
@@ -168,7 +170,8 @@ def walk(e: Expr):
             yield from walk(a)
             for _, child in shape:
                 yield from walk(child)
-        case Lookup(key=k):
+        case Lookup(source=a, key=k):
+            yield from walk(a)
             yield from walk(k)
 
 
@@ -203,8 +206,8 @@ def to_text(e: Expr) -> str:
             return f"{to_text(a)}.{lbl}"
         case Backlink(subject=a, label=lbl, type_name=n):
             return f"{to_text(a)}.<{lbl}[is {n}]"
-        case Lookup(type_name=n, label=lbl, key=k):
-            return f"lookup!({n}.{lbl}, {to_text(k)})"
+        case Lookup(source=a, label=lbl, key=k):
+            return f"lookup!({to_text(a)}.{lbl}, {to_text(k)})"
         case Shaping(subject=a, binder=x, shape=shape):
             inner = ", ".join(f"{lbl} := {to_text(v)}" for lbl, v in shape)
             return f"{to_text(a)} {{{x}| {inner} }}"

@@ -12,9 +12,9 @@ Because reads only ever see the initial store, they use three caches that
 the store builds lazily, at most once per store object: the per-type extents
 (`Store.extent`, read by type names), the reverse-link index
 (`Store.backlinks`, read by `seek`) and the value index (`Store.lookup`, read
-by the `Lookup` nodes that `simplify` makes of filters). Writes make new
-store objects and never touch the initial one, so the caches need no
-updating during a query.
+by the `Lookup` nodes over a type name that `simplify` makes of filters).
+Writes make new store objects and never touch the initial one, so the caches
+need no updating during a query.
 """
 
 from __future__ import annotations
@@ -282,15 +282,26 @@ class Evaluator:
         return self.permute(self._dedup(out)), store
 
     def _lookup(self, env: Environment, store: Store, e: core.Lookup):
+        source = e.source
+        if isinstance(source, core.Name):
+            keys, store = self.run(env, store, e.key)
+            index = self.init.lookup(source.type_name, e.label)
+            if len(keys) == 1:
+                ids = index.get(keys[0], ())
+            else:
+                # the ids that hold any key, in extent order as the scan gives them
+                hits = set().union(*(index.get(k, ()) for k in keys))
+                ids = ([id for id in self.init.extent(source.type_name) if id in hits]
+                       if hits else [])
+            return self.permute([ObjVal(id, {}) for id in ids]), store
+        # a hash semi-join: each element that shares a value with the key,
+        # in source order and with the source's duplicates, as the scan keeps
+        ws, store = self.run(env, store, source)
         keys, store = self.run(env, store, e.key)
-        index = self.init.lookup(e.type_name, e.label)
-        if len(keys) == 1:
-            ids = index.get(keys[0], ())
-        else:
-            # the ids that hold any key, in extent order as the scan gives them
-            hits = set().union(*(index.get(k, ()) for k in keys))
-            ids = [id for id in self.init.extent(e.type_name) if id in hits] if hits else []
-        return self.permute([ObjVal(id, {}) for id in ids]), store
+        wanted = set(keys)
+        init, label = self.init, e.label
+        out = [w for w in ws if not wanted.isdisjoint(project(init, label, w))]
+        return self.permute(out), store
 
     def _shaping(self, env: Environment, store: Store, e: core.Shaping):
         ws, store = self.run(env, store, e.subject)

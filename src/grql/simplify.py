@@ -4,8 +4,9 @@ evaluator do less work, guided by the cardinalities `synth` computes.
 The desugarer runs before type checking, so it binds every built-in argument,
 `if` condition and `update` subject with a `for`, and every many-valued
 argument with a `with`, in case the value is not a singleton; and it lowers
-`T filter .l = k` to a scan of the whole extent of T. Four rewrites undo what
-the types show is not needed:
+`S filter .l = k` to a scan of S that compares each element's values of `l`
+with each value of `k`. Four rewrites undo what the types show is not
+needed:
 
 1. A singleton binder becomes a substitution: `for x in s union b` is
    `b[x := s]` when `synth` gives `s` the cardinality [1, 1], `s` is pure and
@@ -16,13 +17,18 @@ the types show is not needed:
 2. A loop-invariant subterm is bound once: a closed, pure, total subterm
    (other than a variable, literal or empty set) under an iterating body is
    bound by a `with` at the top of the query and read through a variable.
-3. A filter on a property probes the value index: the desugarer's
-   `for x in T union for b in C union if!(b; x; empty)`, where T is a type
-   name and C, of cardinality [1, 1], is its test that `x.l` and `k` share
-   a value (from `.l = k`, `k = .l` or `any(eq(.l, k))`), is
-   `Lookup(T, l, k)` when `l` is a scalar label of T and `k` is pure and
-   total and mentions neither `x` nor the binder of `x.l`. `T` itself is never bound by rule 2 here, so a filter
-   whose key reads an outer binder is a probe per outer value, not a scan.
+3. A filter on a property is one lookup: the desugarer's
+   `for x in S union for b in C union if!(b; x; empty)`, where C, of
+   cardinality [1, 1], is its test that `x.l` and `k` share a value (from
+   `.l = k`, `k = .l` or `any(eq(.l, k))`), is `Lookup(S, l, k)` when `l` is
+   scalar in the type `synth` gives the elements of S (a carried entry or a
+   stored label) and `k` is pure and total and mentions neither `x` nor the
+   binder of `x.l`. When S is a type name the lookup probes the value index,
+   so S is left exactly as it is (rule 2 never binds it): a filter whose key
+   reads an outer binder is a probe per outer value, not a scan. Any other S
+   is rewritten like every other subterm, and the lookup is a hash
+   semi-join of its elements with the values of `k`. On a `for` that both
+   rules could rewrite, rule 3 wins.
 4. `any!(f!(...))` is `f!(...)` when the row of `f` in `builtins.REGISTRY`
    returns a [1, 1] bool.
 
@@ -52,7 +58,7 @@ from collections import Counter
 from . import core
 from .builtins import REGISTRY
 from .model import INF, Cardinality, ComputedType, ONE, ScalarType, Schema
-from .typecheck import synth
+from .typecheck import label_entry, synth
 
 # Most subterms one query binds at its top. Each is one more nested `with`
 # for the evaluator's recursion; the rest are evaluated in place.
@@ -148,10 +154,10 @@ class _Simplifier:
                 inner = level + (card.hi > 1)
                 self.bind(x, depth, inner)
                 lo_b, ok_b = self.scan(b, depth + 1, inner)
-                if ok:
+                if ok_b:
+                    self.lookup(e, ty, x, b)
+                if ok and id(e) not in self.lookups:
                     self.singleton_for(e, a, x, card)
-                if ok_b and isinstance(a, core.Name):
-                    self.lookup(e, a.type_name, x, b)
                 lo, ok = min(lo, _outside(lo_b, depth)), ok and ok_b
             case core.OrderBy(source=a, binder=x, key=k):
                 lo, ok = self.scan(a, depth, level)
@@ -171,6 +177,10 @@ class _Simplifier:
                 for _, v in shape:
                     lo = min(lo, self.scan(v, depth, level)[0])
                 ok = False
+            case core.Lookup(source=a, key=k):
+                lo, ok = self.scan(a, depth, level)
+                lo_k, ok_k = self.scan(k, depth, level)
+                lo, ok = min(lo, lo_k), ok and ok_k
             case _:
                 raise TypeError(f"unknown core node {e!r}")
         if lo == INF and ok:
@@ -195,9 +205,9 @@ class _Simplifier:
             return
         self.singletons.add(id(e))
 
-    def lookup(self, e: core.For, type_name: str, x: str, body: core.Expr) -> None:
-        """Rule 3 for `for x in type_name union body`, a pure, total body,
-        once it has been scanned."""
+    def lookup(self, e: core.For, ty: ComputedType, x: str, body: core.Expr) -> None:
+        """Rule 3 for `for x in <source of type ty> union body`, a pure, total
+        body, once it has been scanned."""
         match body:
             # the desugarer's if, here over one bool, keeping x or nothing
             case core.For(source=c, binder=b, body=core.If(
@@ -210,11 +220,12 @@ class _Simplifier:
         if found is None:
             return
         label, key, y = found
-        sty, _ = self.schema.types[type_name].labels.get(label, (None, None))
+        # x.l types, so ty is an object type with the label
+        lty, _ = label_entry(self.schema, ty, label)
         # x.l and the then-branch are the only uses of x, the test the only
         # use of y, and no empty set but the else-branch takes its type from
         # either: the key mentions neither
-        if (isinstance(sty, ScalarType) and self.uses[x] == 2
+        if (isinstance(lty, ScalarType) and self.uses[x] == 2
                 and self.empties[x] == (f.of_var == x)
                 and (y is None or (self.uses[y] == 1 and not self.empties[y]))):
             self.lookups[id(e)] = label, key
@@ -270,9 +281,10 @@ class _Simplifier:
                 return go(b, iterating)
             case core.With(bound=a, binder=x, body=b):
                 return core.With(go(a, iterating), x, go(b, iterating), span=span)
-            case core.For(source=core.Name(type_name=n)) if id(e) in self.lookups:
+            case core.For(source=a) if id(e) in self.lookups:
                 label, key = self.lookups[id(e)]
-                return core.Lookup(n, label, go(key, iterating), span=span)
+                return core.Lookup(self.lookup_source(a, iterating), label, go(key, iterating),
+                                   span=span)
             case core.For(source=a, binder=x, body=b):
                 many = self.sources[id(e)][1].hi > 1
                 return core.For(go(a, iterating), x, go(b, iterating or many), span=span)
@@ -286,7 +298,15 @@ class _Simplifier:
                                    span=span)
             case core.Insert(type_name=n, shape=shape):
                 return core.Insert(n, [(lbl, go(v, iterating)) for lbl, v in shape], span=span)
+            case core.Lookup(source=a, label=lbl, key=k):
+                return core.Lookup(self.lookup_source(a, iterating), lbl, go(k, iterating),
+                                   span=span)
         raise TypeError(f"unknown core node {e!r}")
+
+    def lookup_source(self, a: core.Expr, iterating: bool) -> core.Expr:
+        """A lookup's source, rebuilt: a type name stays as it is, so that the
+        lookup probes the value index."""
+        return a if isinstance(a, core.Name) else self.rebuild(a, iterating)
 
 
 def _membership(c: core.Expr, x: str) -> tuple[str, core.Expr, str | None] | None:

@@ -71,6 +71,19 @@ def extend_type(base: ObjType, new: list[tuple[Label, tuple[ComputedType, Cardin
     return ObjType(base.target, entries)
 
 
+def label_entry(schema: Schema, t: ObjType, lbl: Label) -> tuple[ComputedType, Cardinality] | None:
+    """The type and cardinality of label `lbl` on a value of type `t`: its
+    carried entry when `t` has one, else the stored label of `t`'s target;
+    None when neither has it."""
+    if lbl in t.entries:
+        return t.entries[lbl]
+    decl = schema.decl(t.target)
+    if decl is None or lbl not in decl.labels:
+        return None
+    sty, scard = decl.labels[lbl]
+    return stored_to_computed_type(sty), scard
+
+
 def _validate_annotation(schema: Schema, ty: ComputedType, span: Span | None) -> None:
     if isinstance(ty, ObjType):
         if schema.decl(ty.target) is None:
@@ -120,16 +133,13 @@ def synth(schema: Schema, ctx: Context, e: core.Expr,
             tsubj, msubj = synth(schema, ctx, subj, sources)
             if not isinstance(tsubj, ObjType):
                 raise TypeCheckError("NotAnObject", f"cannot project {lbl} from {tsubj}", e.span)
-            if lbl in tsubj.entries:
-                ety, ecard = tsubj.entries[lbl]
-                return ety, card_mul(ecard, msubj)
-            decl = schema.decl(tsubj.target)
-            if decl is None or lbl not in decl.labels:
+            entry = label_entry(schema, tsubj, lbl)
+            if entry is None:
                 raise TypeCheckError(
                     "NoSuchLabel", f"{tsubj.target} has no label {lbl}", e.span
                 )
-            sty, scard = decl.labels[lbl]
-            return stored_to_computed_type(sty), card_mul(scard, msubj)
+            ety, ecard = entry
+            return ety, card_mul(ecard, msubj)
 
         case core.Backlink(subject=subj, label=lbl, type_name=n):
             decl = schema.decl(n)
@@ -259,19 +269,20 @@ def synth(schema: Schema, ctx: Context, e: core.Expr,
                 entries[lbl] = (ety, scard)
             return ObjType(tsubj.target, entries), AT_MOST_ONE
 
-        case core.Lookup(type_name=n, label=lbl, key=k):
-            decl = schema.decl(n)
-            if decl is None:
-                raise TypeCheckError("UnknownName", f"unknown type {n!r}", e.span)
-            sty, _ = decl.labels.get(lbl, (None, None))
-            if not isinstance(sty, ScalarType):
-                raise TypeCheckError("NoSuchLabel", f"{n} has no property {lbl}", e.span)
+        case core.Lookup(source=src, label=lbl, key=k):
+            ts, ms = synth(schema, ctx, src, sources)
+            if not isinstance(ts, ObjType):
+                raise TypeCheckError("NotAnObject", f"cannot look up {lbl} in {ts}", e.span)
+            lty, _ = label_entry(schema, ts, lbl) or (None, None)
+            if not isinstance(lty, ScalarType):
+                raise TypeCheckError("NoSuchLabel", f"{ts.target} has no property {lbl}", e.span)
             tk, _ = synth(schema, ctx, k, sources)
-            if tk is not sty:
+            if tk is not lty:
                 raise TypeCheckError(
-                    "StoreTypeMismatch", f"lookup key is {tk}, but {n}.{lbl} holds {sty}", e.span
+                    "StoreTypeMismatch", f"lookup key is {tk}, but {lbl} of {ts} holds {lty}",
+                    e.span,
                 )
-            return ObjType(n, {}), MANY
+            return ts, card_mul(ms, AT_MOST_ONE)
 
     raise TypeError(f"unknown core node {e!r}")
 

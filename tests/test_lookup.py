@@ -1,12 +1,13 @@
-"""`Lookup`, the value-index probe that `simplify` makes of a filter on a
-property, keeps the filter's meaning and does work that does not grow with
-the store.
+"""`Lookup`, which `simplify` makes of a filter on a property, keeps the
+filter's meaning and does work that does not grow with the store: over a
+type name it probes the value index, over any other source it is a hash
+semi-join of the source's elements with the key's values.
 
 The property runs each filter query twice on generated stores, as the
-desugarer wrote it (a scan) and simplified (a probe), and asks for the same
+desugarer wrote it (a scan) and simplified (a lookup), and asks for the same
 type, canonical bytes, store and next id, and under seeds the same results up
-to permutation; a deliberately broken probe fails it. Work counters, never
-times, gate what the index saves."""
+to permutation; a deliberately broken probe and two broken hash paths fail
+it. Work counters, never times, gate what the lookups save."""
 
 import importlib
 import random
@@ -20,7 +21,8 @@ from grql.cli import Session, typed_query
 from grql.evaluator import EvalConfig, EvalFault, evaluate
 from grql.harness import GenConfig, Instance, gen_instance
 from grql.model import (
-    INF, Cardinality, IntVal, ObjType, ScalarType, Store, StoreTuple, StrVal, olabel,
+    AT_MOST_ONE, INF, Cardinality, IntVal, ObjType, ScalarType, Store, StoreTuple, StoredRef,
+    StrVal, llabel, olabel,
 )
 from grql.parser import parse_schema
 from grql.serialize import serialize, to_json_text
@@ -33,12 +35,17 @@ from test_simplify import _Counting, equivalence_failure, simplify_visits
 
 BENCH_DIR = Path(__file__).parent.parent / "bench"
 
-# one [1, 1], one [0, 1] and one multi scalar label
+# one [1, 1], one [0, 1] and one multi scalar label, and a link to items
+# with a link property
 SCHEMA_TEXT = """
 type Item {
   required code: int64;
   tag: str;
   multi words: str;
+};
+type Box {
+  required size: int64;
+  multi items: Item { note: str; };
 };
 """
 WORDS = ("a", "b", "c", "d")
@@ -67,19 +74,64 @@ QUERIES = (
         'words := (Item filter .code = 2).tag }',
     ]
 )
+# filters whose source is not a type name: the lookup is a hash semi-join
+SOURCE_QUERIES = (
+    # a path, on the target's own labels and on the link property
+    [f"Box.items filter .code = {k}" for k in INT_KEYS]
+    + [f"Box.items filter .words = {k}" for k in STR_KEYS]
+    + [f"Box.items filter .@note = {k}" for k in STR_KEYS]
+    + [f"Box.items filter any(eq(.@note, {k}))" for k in STR_KEYS]
+    # a source with duplicates
+    + [f"(Item union Item) filter .code = {k}" for k in INT_KEYS]
+    + [
+        # chained filters, the inner one a probe, a scan or a semi-join
+        '(Item filter .tag = "a") filter .code = {3, 1, 1}',
+        '(Item filter .code < 3) filter .words = {"c", "a", "c"}',
+        '((Box.items filter .@note = {"a", "b"}) filter .tag = "b") filter .code = {1, 2}',
+        # a carried entry that shadows the stored label
+        'Item { tag := "z" } filter .tag = "z"',
+        'Item { tag := "z" } filter .tag = {"a", "z"}',
+        'Item { tag := .words } filter .tag = "a"',
+        # backlinks, which carry the link property
+        'Item.<items[is Box] filter .@note = {"a", "b"}',
+        "Item.<items[is Box] filter .size = {1, 2}",
+        # an empty source
+        "<Item>{} filter .code = 1",
+        '(Box.items filter .code = 99) filter .@note = "a"',
+        # correlated keys, one or many values per outer binder
+        "for b in Box union (b.items filter .code = b.size)",
+        "for b in Box union (b.items filter .words = b.items.@note)",
+        "for i in Item union (Box.items filter .@note = i.words) { code }",
+        "for i in Item union (i filter .words = i.tag)",
+        # inserts beside a semi-join: the store and the next id must agree too
+        '(insert Item { code := 1, tag := "a", words := {"a", "b"} }) filter .words = "b"',
+        '(insert Box { size := count(Box.items filter .@note = "a"), '
+        'items := Box.items filter .code = {1, 2} }).items filter .@note = {"a", "c"}',
+        'update (Box.items filter .@note = "b") set { tag := "b" }',
+    ]
+)
 
 
 def _item_store(seed: int) -> Store:
-    """A store of up to 12 items over a few values, so keys collide; ids are
-    not allocated in extent order, and a multi label may repeat a value."""
+    """A store of up to 12 items over a few values, so keys collide, and up
+    to 3 boxes; ids are not allocated in extent order, a multi label may
+    repeat a value and a box may link one item twice."""
     rng = random.Random(seed)
     ids = [str(i) for i in range(1, rng.randrange(13) + 1)]
-    rng.shuffle(ids)
-    return Store({id: StoreTuple("Item", {
+    box_ids = [str(len(ids) + i) for i in range(1, rng.randrange(4) + 1)]
+    tuples = {id: StoreTuple("Item", {
         "code": [IntVal(rng.randrange(5))],
         "tag": [StrVal(rng.choice(WORDS))] if rng.random() < 0.6 else [],
         "words": [StrVal(rng.choice(WORDS)) for _ in range(rng.randrange(4))],
-    }) for id in ids})
+    }) for id in ids}
+    for id in box_ids:
+        links = [StoredRef(rng.choice(ids), {llabel("note"): [StrVal(rng.choice(WORDS))]
+                                             if rng.random() < 0.7 else []})
+                 for _ in range(rng.randrange(5) if ids else 0)]
+        tuples[id] = StoreTuple("Box", {"size": [IntVal(rng.randrange(3))], "items": links})
+    order = list(tuples)
+    rng.shuffle(order)
+    return Store({id: tuples[id] for id in order})
 
 
 def _bytes(schema, store, e, ty, card):
@@ -101,13 +153,13 @@ def lookup_failure(schema, store, query: str, seed: int) -> str | None:
     return equivalence_failure(Instance(schema, store, e, ty, card, GenConfig(seed=seed)))
 
 
-def _cases():
+def _cases(queries=QUERIES + SOURCE_QUERIES, seeds=range(40)):
     schema, diags = parse_schema(SCHEMA_TEXT)
     assert not diags
-    for seed in range(40):
+    for seed in seeds:
         store = _item_store(seed)
         assert check_store(schema, store) == []
-        for query in QUERIES:
+        for query in queries:
             yield schema, store, query, seed
 
 
@@ -116,18 +168,76 @@ def test_a_lookup_gives_what_the_scan_gives():
         assert lookup_failure(schema, store, query, seed) is None, (seed, query)
 
 
+def test_simplify_keeps_the_meaning_of_its_own_output():
+    # lookups go through simplify's scan and rebuild like every other node
+    for schema, store, query, seed in _cases(seeds=range(10)):
+        e, ty, card = typed_query(schema, query)
+        once = simplify(schema, e)
+        inst = Instance(schema, store, once, ty, card, GenConfig(seed=seed))
+        assert equivalence_failure(inst) is None, (seed, query)
+        assert simplify(schema, once) == once, query
+
+
+def _verdicts(cases) -> Counter:
+    """The property's verdict on each case, counted; a crash of a broken
+    lookup counts as its exception's name."""
+    out: Counter = Counter()
+    for case in cases:
+        try:
+            out[lookup_failure(*case)] += 1
+        except (KeyError, AttributeError) as exc:
+            out[type(exc).__name__] += 1
+    return out
+
+
 def _key_order_lookup(self, env, store, e):
     """A deliberately broken probe: the ids of each key in turn, so several
     keys give their ids in key order, not extent order."""
+    if not isinstance(e.source, core.Name):
+        return evaluator.Evaluator._lookup(self, env, store, e)
     keys, store = self.run(env, store, e.key)
-    index = self.init.lookup(e.type_name, e.label)
+    index = self.init.lookup(e.source.type_name, e.label)
     ids = list(dict.fromkeys(id for k in keys for id in index.get(k, ())))
     return self.permute([evaluator.ObjVal(id, {}) for id in ids]), store
 
 
+def _stored_record_lookup(self, env, store, e):
+    """A deliberately broken hash path: it reads each element's stored
+    record in place of `project`, so it misses carried entries."""
+    if isinstance(e.source, core.Name):
+        return evaluator.Evaluator._lookup(self, env, store, e)
+    ws, store = self.run(env, store, e.source)
+    keys, store = self.run(env, store, e.key)
+    wanted = set(keys)
+    out = [w for w in ws if not wanted.isdisjoint(self.init.get(w.id).record[e.label])]
+    return self.permute(out), store
+
+
+def _deduplicating_lookup(self, env, store, e):
+    """A deliberately broken hash path: it keeps each source element once."""
+    if isinstance(e.source, core.Name):
+        return evaluator.Evaluator._lookup(self, env, store, e)
+    ws, store = self.run(env, store, e.source)
+    keys, store = self.run(env, store, e.key)
+    wanted, seen, out = set(keys), set(), []
+    for w in ws:
+        if w.id not in seen and not wanted.isdisjoint(evaluator.project(self.init, e.label, w)):
+            seen.add(w.id)
+            out.append(w)
+    return self.permute(out), store
+
+
 def test_a_lookup_in_key_order_fails_the_property(monkeypatch):
     monkeypatch.setitem(evaluator._DISPATCH, core.Lookup, _key_order_lookup)
-    failures = Counter(lookup_failure(*case) for case in _cases())
+    failures = _verdicts(_cases(QUERIES))
+    assert failures["the canonical bytes differ"] > 0, "broken lookup evaded the check"
+
+
+@pytest.mark.parametrize("broken", [_stored_record_lookup, _deduplicating_lookup],
+                         ids=["stored_record", "deduplicating"])
+def test_a_broken_hash_path_fails_the_property(monkeypatch, broken):
+    monkeypatch.setitem(evaluator._DISPATCH, core.Lookup, broken)
+    failures = _verdicts(_cases(SOURCE_QUERIES))
     assert failures["the canonical bytes differ"] > 0, "broken lookup evaded the check"
 
 
@@ -153,16 +263,33 @@ def test_the_value_index_matches_a_brute_force_scan():
 def test_synth_types_a_lookup_and_checks_its_key():
     schema = load_seed().schema
     person = ObjType("Person", {})
-    lookup = core.Lookup("Person", olabel("age"), core.Prim(IntVal(30)))
-    assert synth(schema, {}, lookup) == (person, Cardinality(0, INF))
+    ctx = {"p": (person, Cardinality(1, 1))}
+    age, thirty = olabel("age"), core.Prim(IntVal(30))
+    directors = core.Proj(core.Name("Movie"), olabel("directors"))
+    actors = core.Proj(core.Name("Movie"), olabel("actors"))
+    character = llabel("character")
+    # the source's type, at most one element per source element
+    typed = [
+        (core.Lookup(core.Name("Person"), age, thirty), person, Cardinality(0, INF)),
+        (core.Lookup(directors, age, thirty), person, Cardinality(0, INF)),
+        (core.Lookup(core.Var("p"), age, thirty), person, AT_MOST_ONE),
+        # a link property is a carried entry of the link's targets
+        (core.Lookup(actors, character, core.Prim(StrVal("Neo"))),
+         ObjType("Person", {character: (ScalarType.STR, AT_MOST_ONE)}), Cardinality(0, INF)),
+    ]
+    for e, ty, card in typed:
+        assert synth(schema, ctx, e) == (ty, card)
     bad = [
-        (core.Lookup("Person", olabel("age"), core.Prim(StrVal("30"))), "StoreTypeMismatch"),
-        (core.Lookup("Movie", olabel("directors"), core.Var("p")), "NoSuchLabel"),
-        (core.Lookup("Nobody", olabel("age"), core.Prim(IntVal(30))), "UnknownName"),
+        (core.Lookup(core.Name("Person"), age, core.Prim(StrVal("30"))), "StoreTypeMismatch"),
+        (core.Lookup(core.Name("Movie"), olabel("directors"), core.Var("p")), "NoSuchLabel"),
+        (core.Lookup(core.Name("Nobody"), age, thirty), "UnknownName"),
+        (core.Lookup(thirty, age, thirty), "NotAnObject"),
+        (core.Lookup(directors, character, core.Prim(StrVal("Neo"))), "NoSuchLabel"),
+        (core.Lookup(actors, character, thirty), "StoreTypeMismatch"),
     ]
     for e, code in bad:
         with pytest.raises(TypeCheckError) as info:
-            synth(schema, {"p": (person, Cardinality(1, 1))}, e)
+            synth(schema, ctx, e)
         assert info.value.code == code
 
 
@@ -201,6 +328,23 @@ def test_a_filter_on_a_name_evaluates_the_same_nodes_at_any_store_size(monkeypat
         assert len(result) == 1
         counts.append(dict(ev.nodes))
     assert counts[0] == counts[1] == {"Lookup": 1, "Prim": 1}
+
+
+def test_an_in_list_filter_evaluates_the_same_nodes_at_any_store_size(monkeypatch):
+    # the benchmark's inlist op: a semi-join of one age bucket with 200 names
+    counts = []
+    for n in (300, 600):
+        model, snap = _bench_snapshot(monkeypatch, n)
+        persons = list(model.persons.values())
+        op = model.inlist_op(persons[0].age, [p.name for p in persons[:200]])
+        e, _, _ = typed_query(snap.schema, op.query)
+        ev = _Counting(snap.schema, EvalConfig(), snap.store)
+        result, _ = ev.run({}, snap.store, simplify(snap.schema, e))
+        assert [v.value for v in result] == op.expected
+        counts.append(dict(ev.nodes))
+    assert not counts[0].keys() & {"Call", "For", "If"}
+    assert counts[0] == counts[1]
+    assert counts[0]["Lookup"] == 2 and counts[0]["Prim"] == 201
 
 
 def test_the_value_index_is_built_once_per_store():

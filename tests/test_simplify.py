@@ -124,10 +124,10 @@ def _simplified(query: str) -> str:
 
 @pytest.mark.parametrize("query, text", [
     # a literal source replaces every use of its binder; so does a [1, 1]
-    # projection used once, outside iterating bodies (a filter whose source
-    # is not a type name, which rule 3 leaves a scan)
-    ("Movie.directors filter .age = 30",
-     "for $0 in Movie.directors union if!(eq!($0.age, 30); $0; empty[type-of $0])"),
+    # projection used once, outside iterating bodies (a filter on a test
+    # other than equality, which rule 3 leaves a scan)
+    ("Movie.directors filter .age < 30",
+     "for $0 in Movie.directors union if!(lt!($0.age, 30); $0; empty[type-of $0])"),
     ("for m in count(Person) union m + 1", "add!(count!(Person), 1)"),
     # empty[type-of x] of a removed binder x takes the type of x's source
     ('"a" filter true', "if!(any!(tt); 'a'; empty[str])"),
@@ -169,13 +169,13 @@ def test_a_for_stays_when_substitution_could_cost_or_change_more(query, text):
 @pytest.mark.parametrize("query, text", [
     ("Person { n := count(Movie) }",
      "with $c0 := count!(Movie) select Person {$0| n := $c0 }"),
-    # a filter over a type name is one probe (rule 3), so its key needs no
-    # binding; over another source the in-list literal is bound once
+    # a filter on equality is one lookup (rule 3), so its key needs no
+    # binding; in a filter that stays a scan the in-list literal is bound once
     ('(Person filter any(eq(.name, {"a", "b", "c"}))).name',
      "lookup!(Person.name, (('a' union 'b') union 'c')).name"),
-    ('((Person filter .age = 30) filter any(eq(.name, {"a", "b", "c"}))).name',
-     "with $c0 := (('a' union 'b') union 'c') select for $4 in lookup!(Person.age, 30) union "
-     "if!(any!(for $5 in $4.name union for $6 in $c0 union eq!($5, $6)); $4; "
+    ('((Person filter .born = "Ottawa") filter any(lt(.age, {20, 40, 60}))).name',
+     "with $c0 := ((20 union 40) union 60) select for $4 in lookup!(Person.born, 'Ottawa') union "
+     "if!(any!(for $5 in $4.age union for $6 in $c0 union lt!($5, $6)); $4; "
      "empty[type-of $4]).name"),
     # outside iterating bodies nothing is bound
     ("count(Movie)", "count!(Movie)"),
@@ -199,6 +199,17 @@ def test_a_loop_invariant_subterm_is_bound_once(query, text):
      "for $1 in count!(Person) union lookup!(Movie.year, $1)"),
     # the same test written as an if whose then-branch is the binder
     ("for x in Person union (if x.age = 38 then x else <Person>{})", "lookup!(Person.age, 38)"),
+    # a source that is not a type name: a hash semi-join of its elements
+    # with the key's values, whose own filters are lookups too
+    ("Movie.directors filter .age = 38", "lookup!(Movie.directors.age, 38)"),
+    ('((Person filter .age = 30) filter any(eq(.name, {"a", "b", "c"}))).name',
+     "lookup!(lookup!(Person.age, 30).name, (('a' union 'b') union 'c')).name"),
+    # a link property, and a carried entry that shadows the stored label
+    ('Movie.actors filter .@character = "Neo"', "lookup!(Movie.actors.@character, 'Neo')"),
+    ('Person { name := "Z" } filter .name = "Z"',
+     "lookup!(Person {$0| name := 'Z' }.name, 'Z')"),
+    # a source of one value
+    ("for p in Person union (p filter .age = 38)", "for $0 in Person union lookup!($0.age, 38)"),
 ])
 def test_a_filter_on_a_property_becomes_a_lookup(query, text):
     assert _simplified(query) == text
@@ -214,8 +225,6 @@ def test_a_filter_on_a_property_becomes_a_lookup(query, text):
     'Person filter .name = (insert Person { name := "N", age := 1, born := <str>{} }).name',
     # a key that can fault
     "Person filter .age = 1 + 2",
-    # a source that is not a type name
-    "Movie.directors filter .age = 38",
     # a then-branch other than the binder
     "for x in Person union (if x.age = 38 then x.name else <str>{})",
     # an if over two bools keeps each person twice
