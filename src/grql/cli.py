@@ -199,8 +199,12 @@ def cmd_run(args) -> int:
 
     print(session.render(result, ty, card, pretty=False))
     if args.commit:
-        _write_snapshot(args.store,
-                        save_snapshot(session.schema_text, session.store, session.next_id))
+        try:
+            _write_snapshot(args.store,
+                            save_snapshot(session.schema_text, session.store, session.next_id))
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_STORE_ERROR
     return EXIT_OK
 
 
@@ -294,10 +298,14 @@ def cmd_repl(args, stdin=None, stdout=None) -> int:
                 except QueryError as exc:
                     emit(f"error: {exc}")
             elif cmd == "\\save":
-                _write_snapshot(args.store,
-                                save_snapshot(session.schema_text, session.store,
-                                              session.next_id))
-                emit(f"saved {args.store}")
+                try:
+                    _write_snapshot(args.store,
+                                    save_snapshot(session.schema_text, session.store,
+                                                  session.next_id))
+                except OSError as exc:
+                    emit(f"error: {exc}")
+                else:
+                    emit(f"saved {args.store}")
             elif cmd == "\\seed":
                 if rest.strip().lower() in ("off", ""):
                     session.seed = None

@@ -14,7 +14,9 @@ the store builds lazily, at most once per store object: the per-type extents
 (`Store.backlinks`, read by `seek`) and the value index (`Store.lookup`, read
 by the `Lookup` nodes over a type name that `simplify` makes of filters).
 Writes make new store objects and never touch the initial one, so the caches
-need no updating during a query.
+need no updating during a query. When the query's store is committed,
+`Store.unlock_all` hands it copies of the initial store's caches, patched
+for the written tuples.
 """
 
 from __future__ import annotations

@@ -9,7 +9,9 @@ serialization.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import islice
 
 INF = float("inf")
 
@@ -287,6 +289,31 @@ BacklinkIndex = dict[EntityId, list[tuple[EntityId, StoredRef]]]
 ValueIndex = dict[ScalarValue, list[EntityId]]
 
 
+# One tuple's part of each index, as a commit's patch reads it. `lookup` and
+# `backlinks` apply the same rules inline, which builds a whole index about
+# twice as fast.
+def _value_entries(id: EntityId, values: StoredValueSeq) -> dict[ScalarValue, list[EntityId]]:
+    """One tuple's part of a value index: each value it holds, once."""
+    return {v: [id] for v in values}
+
+
+def _link_entries(id: EntityId, values: StoredValueSeq
+                  ) -> dict[EntityId, list[tuple[EntityId, StoredRef]]]:
+    """One tuple's part of a reverse-link index: each target with the
+    tuple's references to it, in sequence order."""
+    out: dict[EntityId, list[tuple[EntityId, StoredRef]]] = {}
+    for v in values:
+        if isinstance(v, StoredRef):
+            out.setdefault(v.id, []).append((id, v))
+    return out
+
+
+def _source(item) -> EntityId:
+    """The id whose tuple put an item into an index: a value index's item is
+    that id, a reverse-link index's a (source id, reference) pair."""
+    return item if isinstance(item, str) else item[0]
+
+
 @dataclass
 class Store:
     """The world state, threaded functionally: a map from entity ids
@@ -299,10 +326,11 @@ class Store:
 
     Three read caches are built lazily, at most once per store object: the
     per-type extents (`extent`) and, per (type, label) pair, the reverse-link
-    index (`backlinks`) and the value index (`lookup`). Because the tuples
-    never change once the store is shared, and a write makes a new store
-    instead, the caches never need updating. They take no part in
-    construction, `repr` or equality.
+    index (`backlinks`) and the value index (`lookup`). A store that
+    `with_tuple` made remembers the store at rest it came from (`_origin`);
+    `unlock_all` gives the written store every cache its origin built,
+    patched for the marked ids alone, and leaves the origin's caches as they
+    were. The caches take no part in construction, `repr` or equality.
     """
 
     tuples: dict[EntityId, StoreTuple] = field(default_factory=dict)
@@ -313,6 +341,12 @@ class Store:
         default_factory=dict, init=False, repr=False, compare=False)
     _lookups: dict[tuple[TypeName, Label], ValueIndex] = field(
         default_factory=dict, init=False, repr=False, compare=False)
+    # id -> position in `tuples`, built when a patch must place an updated id
+    # among others; a store's descendants share it, each reading only the
+    # entries of its own ids (see `_patch_caches`)
+    _ordinals: dict[EntityId, int] | None = field(
+        default=None, init=False, repr=False, compare=False)
+    _origin: Store | None = field(default=None, init=False, repr=False, compare=False)
 
     def get(self, id: EntityId) -> StoreTuple | None:
         return self.tuples.get(id)
@@ -358,12 +392,59 @@ class Store:
 
     def with_tuple(self, id: EntityId, tup: StoreTuple) -> Store:
         """Functional update: a new store with `id` bound to `tup` and marked."""
-        return Store({**self.tuples, id: tup}, self.locked | {id})
+        store = Store({**self.tuples, id: tup}, self.locked | {id})
+        store._origin = self._origin or self
+        return store
 
     def unlock_all(self) -> Store:
         """The same tuples with every edit mark cleared; the store itself,
-        with its caches, when it holds no marks."""
-        return Store(self.tuples) if self.locked else self
+        with its caches, when it holds no marks. The store returned is at
+        rest and has no origin, and holds its origin's caches, patched."""
+        if not self.locked:
+            return self
+        store = Store(self.tuples)
+        if self._origin is not None:
+            store._patch_caches(self._origin, self.locked)
+        return store
+
+    def _patch_caches(self, origin: Store, written: frozenset[EntityId]) -> None:
+        """Give this store each cache `origin` built, patched for the
+        `written` ids: origin's ids whose tuple changed, and the ids past
+        origin's, which `with_tuple` added last and in allocation order.
+        Every other tuple is origin's own, so each patch reads only written
+        tuples; a changed list or dict is a copy, so origin's stay as they
+        were."""
+        old, new = origin.tuples, self.tuples
+        inserted = list(islice(reversed(new), len(new) - len(old)))[::-1]
+        updated = [id for id in written if id in old and old[id] is not new[id]]
+        if origin._extents is not None:
+            gained: dict[TypeName, list[EntityId]] = {}
+            for id in inserted:
+                gained.setdefault(new[id].type_name, []).append(id)
+            self._extents = {**origin._extents, **{
+                type_name: [*origin._extents.get(type_name, ()), *ids]
+                for type_name, ids in gained.items()}}
+        for cache, built, entries in ((self._lookups, origin._lookups, _value_entries),
+                                      (self._backlinks, origin._backlinks, _link_entries)):
+            for (type_name, label), index in built.items():
+                def part(tuples, id):
+                    tup = tuples[id]
+                    values = tup.record.get(label, ()) if tup.type_name == type_name else ()
+                    return entries(id, values)
+                moved = [(id, part(old, id), part(new, id)) for id in updated]
+                added = [part(new, id) for id in inserted]
+                cache[(type_name, label)] = _patched(index, moved, added, origin._ordinal_map)
+        ordinals = origin._ordinals
+        if ordinals is not None and len(ordinals) == len(old):
+            # appending this store's ids changes no entry an older sharer
+            # reads; a sibling that appended first leaves the length longer
+            ordinals.update(zip(inserted, range(len(old), len(new))))
+            self._ordinals = ordinals
+
+    def _ordinal_map(self) -> dict[EntityId, int]:
+        if self._ordinals is None:
+            self._ordinals = {id: i for i, id in enumerate(self.tuples)}
+        return self._ordinals
 
     def max_numeric_id(self) -> int:
         best = 0
@@ -373,6 +454,38 @@ class Store:
             except ValueError:
                 continue
         return best
+
+
+def _patched(index: dict, moved, added, ordinal_map) -> dict:
+    """A copy of `index`, whose lists hold items in source order with each
+    source's items together, where each `moved` source (id, old part, new
+    part) has its items replaced in place, found by the ordinal map, and
+    each `added` part is appended. A list is copied when first changed and
+    dropped when it ends empty; `index` itself is unchanged."""
+    out = dict(index)
+    copied: set = set()
+
+    def own(key) -> list:
+        if key not in copied:
+            copied.add(key)
+            out[key] = list(out.get(key, ()))
+        return out[key]
+
+    for id, before, after in moved:
+        for key in {**before, **after}:
+            if before.get(key) == after.get(key):
+                continue
+            ordinals = ordinal_map()
+            items = own(key)
+            at = bisect_left(items, ordinals[id], key=lambda item: ordinals[_source(item)])
+            items[at:at + len(before.get(key, ()))] = after.get(key, ())
+    for part in added:
+        for key, items in part.items():
+            own(key).extend(items)
+    for key in copied:
+        if not out[key]:
+            del out[key]
+    return out
 
 
 def stored_to_computed_type(ty: StoredType) -> ComputedType:

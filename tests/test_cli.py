@@ -111,6 +111,33 @@ def test_snapshot_write_replaces_the_file_and_keeps_its_mode(store_file):
     assert store_file.stat().st_mode & 0o777 == 0o640
 
 
+def test_a_commit_that_cannot_write_is_a_store_error(store_file, capsys):
+    # a directory where the temporary snapshot goes makes the write fail
+    (store_file.parent / (store_file.name + ".tmp")).mkdir()
+    before = store_file.read_bytes()
+    assert main(["run", str(store_file), "--commit",
+                 'insert Person { name := "T", age := 1, born := <str>{} }']) == 2
+    out, err = capsys.readouterr()
+    assert out == '{"id":"12"}\n'
+    assert err.startswith("error: [Errno 21] Is a directory") and "Traceback" not in err
+    assert store_file.read_bytes() == before
+
+
+def test_a_save_that_cannot_write_keeps_the_repl_running(store_file):
+    from grql.cli import cmd_repl
+
+    (store_file.parent / (store_file.name + ".tmp")).mkdir()
+    before = store_file.read_bytes()
+    args = type("A", (), {"store": str(store_file), "seed": None, "dedup": False,
+                          "format": "json"})()
+    out = io.StringIO()
+    script = '\\save\n1 + 1;\n\\quit\n'
+    assert cmd_repl(args, stdin=io.StringIO(script), stdout=out) == 0
+    lines = out.getvalue().splitlines()
+    assert lines[0].startswith("error: [Errno 21] Is a directory") and lines[1:] == ["2"]
+    assert store_file.read_bytes() == before
+
+
 def test_run_insert_output_is_id_object(store_file, capsys):
     assert main(["run", str(store_file),
                  'insert Movie { directors := (insert Person { name := "Paul Shiver",'

@@ -10,6 +10,7 @@ to permutation; a deliberately broken probe and two broken hash paths fail
 it. Work counters, never times, gate what the lookups save."""
 
 import importlib
+import json
 import random
 from collections import Counter
 from pathlib import Path
@@ -21,8 +22,8 @@ from grql.cli import Session, typed_query
 from grql.evaluator import EvalConfig, EvalFault, evaluate
 from grql.harness import GenConfig, Instance, gen_instance
 from grql.model import (
-    AT_MOST_ONE, INF, Cardinality, IntVal, ObjType, ScalarType, Store, StoreTuple, StoredRef,
-    StrVal, llabel, olabel,
+    AT_MOST_ONE, INF, BoolVal, Cardinality, IntVal, ObjType, ScalarType, Store, StoreTuple,
+    StoredRef, StoredRefType, StrVal, llabel, olabel,
 )
 from grql.parser import parse_schema
 from grql.serialize import serialize, to_json_text
@@ -166,6 +167,70 @@ def _cases(queries=QUERIES + SOURCE_QUERIES, seeds=range(40)):
 def test_a_lookup_gives_what_the_scan_gives():
     for schema, store, query, seed in _cases():
         assert lookup_failure(schema, store, query, seed) is None, (seed, query)
+
+
+def _literal(v) -> str:
+    if isinstance(v, BoolVal):
+        return "true" if v.value else "false"
+    return json.dumps(v.value)
+
+
+def _misses(t: ScalarType) -> list:
+    """Keys no generated store holds; a bool has none, so both bools serve."""
+    return {ScalarType.INT: [IntVal(10**6)], ScalarType.STR: [StrVal("zz")],
+            ScalarType.BOOL: [BoolVal(True), BoolVal(False)]}[t]
+
+
+def generated_filters(inst, rng: random.Random):
+    """`S filter .l = k` and `S filter k = .l` over a generated instance's
+    schema, for S a type name, a path through a link and a filter of either,
+    l a scalar label or a link property of S's elements and k a value the
+    store holds there or a miss."""
+    schema, tuples = inst.schema, list(inst.store.tuples.values())
+    # (source text, element type, the links a path follows)
+    sources = []
+    for type_name, decl in schema.types.items():
+        sources.append((type_name, type_name, None))
+        for label, (sty, _) in decl.labels.items():
+            if isinstance(sty, StoredRefType):
+                refs = [r for t in tuples if t.type_name == type_name for r in t.record[label]]
+                sources.append((f"{type_name}.{label}", sty.target, (sty, refs)))
+
+    def tests(target, links):
+        """(label, its type, the values the elements hold) for every scalar
+        label and link property of the elements."""
+        for label, (sty, _) in schema.types[target].labels.items():
+            if isinstance(sty, ScalarType):
+                yield label, sty, [v for t in tuples if t.type_name == target
+                                   for v in t.record[label]]
+        if links is not None:
+            ref_type, refs = links
+            for prop, (sty, _) in ref_type.link_props:
+                yield prop, sty, [v for r in refs for v in r.link_props[prop]]
+
+    def key(sty, held):
+        return _literal(rng.choice(held) if held else _misses(sty)[0])
+
+    for text, target, links in sources:
+        for label, sty, held in tests(target, links):
+            for k in [key(sty, held), *map(_literal, _misses(sty))]:
+                yield f"{text} filter .{label} = {k}"
+                yield f"{text} filter {k} = .{label}"
+                for other, osty, oheld in tests(target, links):
+                    yield f"({text} filter .{label} = {k}) filter {key(osty, oheld)} = .{other}"
+
+
+def test_a_lookup_keeps_the_meaning_of_filters_on_generated_stores():
+    checked = Counter()
+    for seed in range(100):
+        inst = gen_instance(GenConfig(seed=seed))
+        rng = random.Random(seed)
+        for query in generated_filters(inst, rng):
+            verdict = lookup_failure(inst.schema, inst.store, query, seed)
+            assert verdict is None, (seed, query, verdict)
+            checked[query.split(" filter ")[0].count(".") > 0] += 1
+    # paths as well as type names, over some thousands of filters
+    assert checked[True] > 500 and checked[False] > 500
 
 
 def test_simplify_keeps_the_meaning_of_its_own_output():

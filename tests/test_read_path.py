@@ -8,7 +8,7 @@ from grql.cli import Session
 from grql.evaluator import _DISPATCH, EvalConfig, Evaluator, seek
 from grql.harness import GenConfig, gen_instance
 from grql.model import ObjVal, Store, StoredRef, invis, olabel
-from grql.store_io import load_seed
+from grql.store_io import load_seed, load_snapshot, save_snapshot
 
 
 def scan_seek(store, type_name, label, target):
@@ -130,6 +130,22 @@ def test_a_backlink_after_an_insert_sees_the_new_link():
                       '{ @character := "Lead" } }')
     (after,), _, _ = session.run_query(query)
     assert after.value == before.value + 1
+    # each write patches the reverse-link indexes the last backlinks built
+    backlinks = ('for p in Person union p { name, directed := p.<directors[is Movie].title, '
+                 'roles := p.<actors[is Movie] { title, @character } }')
+    updates = [
+        'update (Movie filter .title = "Interception") set { directors := '
+        '(insert Person { name := "E", age := 2, born := <str>{} }) }',
+        'update (Movie filter .title = "Interception") set '
+        '{ actors := .actors { @character := "Cameo" } }',
+    ]
+    session.run_query(backlinks)
+    for update in updates:
+        assert len(session.run_query(update)[0]) == 1
+        text = save_snapshot(session.schema_text, session.store, session.next_id)
+        fresh = Session.from_snapshot(load_snapshot(text))
+        assert (session.render(*session.run_query(backlinks), pretty=False)
+                == fresh.render(*fresh.run_query(backlinks), pretty=False))
 
 
 def _concrete_subclasses(cls):
