@@ -2,9 +2,10 @@
 
 Exit codes: 0 success, 1 parse/type/runtime error in a query (or a failure
 `fuzz` found), 2 snapshot, store or counter-example file error, a `fuzz`
-count out of range, or a GRQL_SEED that is not an integer. Results go to
-stdout, diagnostics to stderr. GRQL_SEED, when set and non-empty, is the
-default permutation seed (and the default `fuzz` master seed).
+count out of range, a GRQL_SEED that is not an integer, or a stdout whose
+reader has gone. Results go to stdout, diagnostics to stderr. GRQL_SEED,
+when set and non-empty, is the default permutation seed (and the default
+`fuzz` master seed).
 """
 
 from __future__ import annotations
@@ -197,7 +198,8 @@ def cmd_run(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_QUERY_ERROR
 
-    print(session.render(result, ty, card, pretty=False))
+    # a result that cannot be written stops the run before the commit
+    print(session.render(result, ty, card, pretty=False), flush=True)
     if args.commit:
         try:
             _write_snapshot(args.store,
@@ -423,7 +425,19 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_STORE_ERROR
     args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        code = args.fn(args)
+        if sys.stdout is not None:  # None when fd 1 was closed at start-up
+            sys.stdout.flush()  # a stdout whose reader has gone fails here, not at exit
+    except BrokenPipeError as exc:
+        # send what is still buffered, and the flush at exit, to the null device
+        with contextlib.suppress(OSError, ValueError):
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        print(f"error: cannot write to stdout: {exc}", file=sys.stderr)
+        return EXIT_STORE_ERROR
+    return code
 
 
 if __name__ == "__main__":

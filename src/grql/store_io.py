@@ -6,6 +6,13 @@ the id counter. Scalar cells use native JSON types; reference cells are
 {"ref": id} with an optional "props" map of link-property sequences. Edit
 marks (`Store.locked`) live only inside one evaluation, so a snapshot holds
 none: a loaded store has no marks, and saving ignores any a store carries.
+
+`save_snapshot` writes the text straight from the store's tuples: no JSON
+document is built, so a save allocates no container per entity, field or
+cell and starts no cyclic-GC collection. The layout nests to fixed depths,
+so each depth's line break and indentation is a constant, and strings are
+escaped by the function `json.dumps` uses with `ensure_ascii` off; the text
+is exactly `json.dumps(document, indent=2, ensure_ascii=False) + "\n"`.
 """
 
 from __future__ import annotations
@@ -13,6 +20,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from importlib import resources
+from json.encoder import encode_basestring
 
 from .model import (
     BoolVal,
@@ -27,7 +35,6 @@ from .model import (
     llabel,
 )
 from .parser import parse_schema
-from .serialize import to_json_text
 from .surface import ParseError
 from .wellformed import Diagnostic, check_schema, check_store
 
@@ -157,36 +164,81 @@ def load_snapshot(text: str) -> LoadedSnapshot:
     return LoadedSnapshot(schema, store, max(next_id, store.max_numeric_id() + 1), schema_text)
 
 
-def _value_to_cell(v):
-    match v:
-        case BoolVal(value=b):
-            return b
-        case IntVal(value=n):
-            return n
-        case StrVal(value=s):
-            return s
-        case StoredRef(id=id, link_props=props):
-            cell: dict = {"ref": id}
-            if props:
-                cell["props"] = {lbl: [_value_to_cell(x) for x in seq]
-                                 for lbl, seq in props.items()}
-            return cell
+# The snapshot layout nests to fixed depths, so the line break before an
+# item is a constant per depth: an entity, its keys, a field, a cell, a
+# reference's keys, a link property and that property's scalars.
+_ENTITY, _ENTITY_KEY, _FIELD, _CELL, _REF_KEY, _PROP, _PROP_CELL = (
+    "\n" + "  " * depth for depth in range(2, 9))
+
+
+def _scalar_text(v) -> str:
+    t = type(v)
+    if t is StrVal:
+        return encode_basestring(v.value)
+    if t is IntVal:
+        return int.__repr__(v.value)
+    if t is BoolVal:
+        return "true" if v.value else "false"
     raise TypeError(f"not a stored value: {v!r}")
 
 
+def _ref_text(ref: StoredRef, key) -> str:
+    text = "{" + _REF_KEY + '"ref": ' + encode_basestring(ref.id)
+    if ref.link_props:
+        sep = "," + _REF_KEY + '"props": {' + _PROP
+        for lbl, seq in ref.link_props.items():
+            if seq:
+                cells = "[" + _PROP_CELL + ("," + _PROP_CELL).join(map(_scalar_text, seq)) + _PROP + "]"
+            else:
+                cells = "[]"
+            text += sep + key(lbl) + cells
+            sep = "," + _PROP
+        text += _REF_KEY + "}"
+    return text + _CELL + "}"
+
+
 def save_snapshot(schema_text: str, store: Store, next_id: int) -> str:
-    """Serialize back to snapshot text; byte-deterministic for a given store."""
-    entities = [
-        {
-            "id": id,
-            "type": tup.type_name,
-            "fields": {lbl: [_value_to_cell(v) for v in seq]
-                       for lbl, seq in tup.record.items()},
-        }
-        for id, tup in store.tuples.items()
-    ]
-    doc = {"v": FORMAT_VERSION, "schema": schema_text, "nextId": next_id, "entities": entities}
-    return to_json_text(doc, pretty=True) + "\n"
+    """Serialize back to snapshot text; byte-deterministic for a given store.
+    The text goes straight from the tuples into one list of strings, joined
+    once."""
+    keys: dict[Label, str] = {}  # label -> its escaped `"label": ` text
+
+    def key(lbl: Label) -> str:
+        text = keys.get(lbl)
+        if text is None:
+            text = keys[lbl] = encode_basestring(lbl) + ": "
+        return text
+
+    out = ['{\n  "v": ', int.__repr__(FORMAT_VERSION),
+           ',\n  "schema": ', encode_basestring(schema_text),
+           ',\n  "nextId": ', int.__repr__(next_id),
+           ',\n  "entities": ']
+    append = out.append
+    # each item's separator opens its container, so an empty container is
+    # written whole after its loop
+    entity_sep = "[" + _ENTITY
+    for id, tup in store.tuples.items():
+        append(entity_sep)
+        entity_sep = "," + _ENTITY
+        append("{" + _ENTITY_KEY + '"id": ' + encode_basestring(id)
+               + "," + _ENTITY_KEY + '"type": ' + encode_basestring(tup.type_name)
+               + "," + _ENTITY_KEY + '"fields": ')
+        field_sep = "{" + _FIELD
+        for lbl, seq in tup.record.items():
+            append(field_sep)
+            field_sep = "," + _FIELD
+            append(key(lbl))
+            cell_sep = "[" + _CELL
+            for v in seq:
+                append(cell_sep)
+                cell_sep = "," + _CELL
+                append(_ref_text(v, key) if type(v) is StoredRef else _scalar_text(v))
+            append("[]" if not seq else _FIELD + "]")
+        append("{}" if not tup.record else _ENTITY_KEY + "}")
+        append(_ENTITY + "}")
+    append("[]" if not store.tuples else "\n  ]")
+    append("\n}\n")
+    return "".join(out)
 
 
 def seed_snapshot_text() -> str:

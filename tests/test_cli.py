@@ -2,11 +2,13 @@
 hygiene."""
 
 import hashlib
+import importlib
 import io
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -136,6 +138,62 @@ def test_a_save_that_cannot_write_keeps_the_repl_running(store_file):
     lines = out.getvalue().splitlines()
     assert lines[0].startswith("error: [Errno 21] Is a directory") and lines[1:] == ["2"]
     assert store_file.read_bytes() == before
+
+
+def _run_with_stdout_closed(argv):
+    """`python -m grql` with a stdout pipe whose reader has already gone, and
+    block-buffered, so a small result fails only when it is flushed."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        return subprocess.run([sys.executable, "-m", "grql", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, text=True, env=env)
+    finally:
+        os.close(write_end)
+
+
+def _assert_closed_stdout_is_one_error(proc):
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: cannot write to stdout: ")
+    assert proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+
+
+@pytest.mark.parametrize("query, commit", [
+    ("count(Person)", False),
+    ('insert Person { name := "T", age := 1, born := <str>{} }', True),
+])
+def test_a_small_result_to_a_closed_stdout_is_one_error(store_file, query, commit):
+    before = store_file.read_bytes()
+    proc = _run_with_stdout_closed(["run", str(store_file), query] + ["--commit"] * commit)
+    _assert_closed_stdout_is_one_error(proc)
+    assert store_file.read_bytes() == before
+
+
+@pytest.mark.parametrize("query, commit", [
+    ("Person { name, age, born }", False),
+    ("(update Person set { age := .age + 1 }) { name, age, born }", True),
+])
+def test_a_large_result_to_a_closed_stdout_is_one_error(tmp_path, monkeypatch, query, commit):
+    monkeypatch.syspath_prepend(str(Path(__file__).parent.parent / "bench"))
+    gen = importlib.import_module("gen")
+    path = tmp_path / "n300.grdb.json"
+    path.write_text(gen.generate(1, 300)[0].snapshot_text(), encoding="utf-8")
+    before = path.read_bytes()
+    proc = _run_with_stdout_closed(["run", str(path), query] + ["--commit"] * commit)
+    _assert_closed_stdout_is_one_error(proc)
+    assert path.read_bytes() == before
+
+
+def test_a_run_started_without_fd_1_exits_quietly(store_file):
+    # Python sets sys.stdout to None, and print writes nothing
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "grql", "run", str(store_file), "count(Person)"],
+                          preexec_fn=lambda: os.close(1), stderr=subprocess.PIPE, text=True,
+                          env=env)
+    assert (proc.returncode, proc.stderr) == (0, "")
 
 
 def test_run_insert_output_is_id_object(store_file, capsys):

@@ -1,10 +1,27 @@
 """Snapshot load/save: validation, round-trips, and the shipped seed data."""
 
+import gc
+import importlib
 import json
+from json.encoder import encode_basestring
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from grql.model import IntVal, StoredRef, StrVal, llabel, olabel
+from grql import store_io
+from grql.model import (
+    INT64_MAX,
+    INT64_MIN,
+    BoolVal,
+    IntVal,
+    Store,
+    StoredRef,
+    StoreTuple,
+    StrVal,
+    llabel,
+    olabel,
+)
 from grql.store_io import (
     SnapshotError,
     load_seed,
@@ -291,13 +308,136 @@ def test_saved_text_is_the_stdlib_indent_2_text_for_generated_stores():
         assert save_snapshot(*args) == _stdlib_snapshot_text(*args)
 
 
-def test_saved_text_is_the_stdlib_indent_2_text_for_bench_and_seed_stores(monkeypatch):
-    import importlib
-    from pathlib import Path
-
+def _bench_gen(monkeypatch):
     monkeypatch.syspath_prepend(str(Path(__file__).parent.parent / "bench"))
-    gen = importlib.import_module("gen")
+    return importlib.import_module("gen")
+
+
+def test_saved_text_is_the_stdlib_indent_2_text_for_bench_and_seed_stores(monkeypatch):
+    gen = _bench_gen(monkeypatch)
     for text in (gen.generate(1, 200)[0].snapshot_text(), seed_snapshot_text()):
         snap = load_snapshot(text)
         args = (snap.schema_text, snap.store, snap.next_id)
         assert save_snapshot(*args) == _stdlib_snapshot_text(*args)
+
+
+# Hand-built stores at the edges of the format: every scalar kind, empty
+# sequences, a type with no labels, non-ASCII names, and links with no, one
+# and several link properties.
+EDGE_SCHEMA = """type T {
+  s: str;
+  multi ss: str;
+  multi n: int64;
+  multi b: bool;
+  multi plain: T;
+  multi one: T { p: str; };
+  multi several: T { p: str; multi q: int64; f: bool; };
+};
+type E { };
+type Ünï { é: str; };
+"""
+
+_ODD_TEXT = st.one_of(
+    st.sampled_from(["", '"', "\\", "\x00", "\x1f", "\x7f", "\n\t\r\b\f", "\u2028\u2029",
+                     "\U0001F3AC", '\\"', "é"]),
+    st.text(alphabet=st.sampled_from('a"\\\x00\x1f\n\u2028\U0001F3AC é'), max_size=6),
+    st.text(max_size=6),
+)
+_INTS = st.one_of(st.sampled_from([INT64_MIN, INT64_MAX, -1, 0]),
+                  st.integers(INT64_MIN, INT64_MAX))
+
+
+@st.composite
+def _edge_stores(draw):
+    """A well-formed store over EDGE_SCHEMA and a next id past its ids."""
+    ids = draw(st.lists(_ODD_TEXT, unique=True, max_size=5))
+    types = {id: draw(st.sampled_from(["T", "E", "Ünï"])) for id in ids}
+    targets = st.sampled_from([id for id in ids if types[id] == "T"] or [None])
+    strs, ints, bools = _ODD_TEXT.map(StrVal), _INTS.map(IntVal), st.booleans().map(BoolVal)
+
+    def cells(values, most=3):
+        return draw(st.lists(values, max_size=most))
+
+    def refs(*props):
+        # a link property draws from its own strategy; [] when none is declared
+        prop = st.tuples(*(st.tuples(st.just(lbl), st.lists(v, max_size=m))
+                           for lbl, v, m in props))
+        got = cells(st.tuples(targets, prop))
+        return [StoredRef(id, dict(ps)) for id, ps in got if id is not None]
+
+    tuples = {}
+    for id in ids:
+        if types[id] == "E":
+            tuples[id] = StoreTuple("E", {})
+        elif types[id] == "Ünï":
+            tuples[id] = StoreTuple("Ünï", {"é": cells(strs, 1)})
+        else:
+            tuples[id] = StoreTuple("T", {
+                "s": cells(strs, 1), "ss": cells(strs), "n": cells(ints), "b": cells(bools),
+                "plain": refs(),
+                "one": refs(("@p", strs, 1)),
+                "several": refs(("@p", strs, 1), ("@q", ints, 3), ("@f", bools, 1)),
+            })
+    store = Store(tuples)
+    return store, store.max_numeric_id() + 1 + draw(st.integers(0, 1000))
+
+
+def _edge_store_property():
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(_edge_stores())
+    def saved_text_is_stdlib_text_and_loads_back(case):
+        store, next_id = case
+        text = save_snapshot(EDGE_SCHEMA, store, next_id)
+        assert text == _stdlib_snapshot_text(EDGE_SCHEMA, store, next_id)
+        snap = load_snapshot(text)
+        assert snap.store.tuples == store.tuples
+        assert snap.next_id == next_id
+
+    return saved_text_is_stdlib_text_and_loads_back
+
+
+def test_saved_text_is_the_stdlib_indent_2_text_for_edge_case_stores():
+    _edge_store_property()()
+
+
+def _quote_left_unescaped(monkeypatch):
+    def encode(s):
+        return '"' + '"'.join(encode_basestring(part)[1:-1] for part in s.split('"')) + '"'
+
+    monkeypatch.setattr(store_io, "encode_basestring", encode)
+
+
+def _props_one_level_too_shallow(monkeypatch):
+    monkeypatch.setattr(store_io, "_PROP", store_io._REF_KEY)
+    monkeypatch.setattr(store_io, "_PROP_CELL", store_io._PROP)
+
+
+@pytest.mark.parametrize("break_writer", [_quote_left_unescaped, _props_one_level_too_shallow])
+def test_a_broken_writer_fails_the_edge_case_property(monkeypatch, break_writer):
+    break_writer(monkeypatch)
+    with pytest.raises(AssertionError):
+        _edge_store_property()()
+
+
+def test_a_save_starts_no_garbage_collection(monkeypatch):
+    # a work counter, not a time: writing the n = 2000 store used to build a
+    # document whose containers started 37 collections
+    snap = load_snapshot(_bench_gen(monkeypatch).generate(1, 2000)[0].snapshot_text())
+    starts = []
+
+    def count(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    enabled = gc.isenabled()
+    gc.enable()
+    gc.callbacks.append(count)
+    try:
+        gc.collect()
+        starts.clear()
+        save_snapshot(snap.schema_text, snap.store, snap.next_id)
+    finally:
+        gc.callbacks.remove(count)
+        if not enabled:
+            gc.disable()
+    assert starts == []
