@@ -425,10 +425,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_STORE_ERROR
     args = parser.parse_args(argv)
+    if sys.stdout is None:  # fd 1 was closed at start-up: a result would go nowhere
+        print("error: cannot write to stdout: file descriptor 1 is closed", file=sys.stderr)
+        return EXIT_STORE_ERROR
     try:
         code = args.fn(args)
-        if sys.stdout is not None:  # None when fd 1 was closed at start-up
-            sys.stdout.flush()  # a stdout whose reader has gone fails here, not at exit
+        sys.stdout.flush()  # a stdout whose reader has gone fails here, not at exit
     except BrokenPipeError as exc:
         # send what is still buffered, and the flush at exit, to the null device
         with contextlib.suppress(OSError, ValueError):

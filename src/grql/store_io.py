@@ -7,6 +7,24 @@ the id counter. Scalar cells use native JSON types; reference cells are
 marks (`Store.locked`) live only inside one evaluation, so a snapshot holds
 none: a loaded store has no marks, and saving ignores any a store carries.
 
+`load_snapshot` decodes and checks the entities in one pass directed by the
+schema. Each (type, label) pair, and each link property, has a plan built
+from the parsed schema once per load: the label's cardinality bounds and a
+decoder that accepts only cells of the declared class (`type(c) is int`, so
+a JSON `true` is no int; ints within int64) or, for a reference label,
+`{"ref": id}` cells carrying exactly the declared link properties under
+their `@` names. The pass keeps the file order of every field and link
+property, notes each reference's id under its target type and resolves them
+all once every tuple is in, and tracks the largest numeric id by the rule of
+`Store.max_numeric_id`. It accepts exactly the entities that `check_store`
+would pass and builds the same store. At the first thing it does not
+recognise (an unknown type, a missing or extra label, a cell of the wrong
+class or count, a bare-named link property, an extra key, a duplicate id, a
+dangling or wrong-target reference) it gives up, and the load decodes the
+same parsed document generically, cell by cell from each cell's JSON type,
+and then runs `check_store`: every diagnostic, and every unusual input the
+generic decode accepts, comes from that path alone.
+
 `save_snapshot` writes the text straight from the store's tuples: no JSON
 document is built, so a save allocates no container per entity, field or
 cell and starts no cyclic-GC collection. The layout nests to fixed depths,
@@ -23,14 +41,20 @@ from importlib import resources
 from json.encoder import encode_basestring
 
 from .model import (
+    INT64_MAX,
+    INT64_MIN,
     BoolVal,
+    Cardinality,
     IntVal,
     Label,
     ObjVal,
+    ScalarType,
     Schema,
     Store,
     StoreTuple,
     StoredRef,
+    StoredRefType,
+    StoredType,
     StrVal,
     llabel,
 )
@@ -123,6 +147,22 @@ def load_snapshot(text: str) -> LoadedSnapshot:
     if not isinstance(entities, list):
         diags.append(Diagnostic("BadSnapshot", "entities", "entities must be a list"))
         entities = []
+    loaded = None if diags else _load_checked(schema, entities)
+    if loaded is None:  # the generic decode and check_store say what is wrong, if anything
+        store = _load_generic(entities, diags)
+        if not diags:
+            diags.extend(check_store(schema, store))
+        if diags:
+            raise SnapshotError(diags)
+        loaded = store, store.max_numeric_id()
+    store, max_id = loaded
+    return LoadedSnapshot(schema, store, max(next_id, max_id + 1), schema_text)
+
+
+def _load_generic(entities: list, diags: list[Diagnostic]) -> Store:
+    """The store of an entity list decoded cell by cell from each cell's JSON
+    type alone, appending every malformed shape to diags; the caller checks
+    the store against the schema."""
     tuples: dict[str, StoreTuple] = {}
     for i, ent in enumerate(entities):
         if not isinstance(ent, dict) or "id" not in ent or "type" not in ent:
@@ -155,13 +195,124 @@ def load_snapshot(text: str) -> LoadedSnapshot:
                     seq.append(v)
             record[key] = seq
         tuples[id] = StoreTuple(ent["type"], record)
+    return Store(tuples)
 
-    store = Store(tuples)
-    if not diags:
-        diags.extend(check_store(schema, store))
-    if diags:
-        raise SnapshotError(diags)
-    return LoadedSnapshot(schema, store, max(next_id, store.max_numeric_id() + 1), schema_text)
+
+# The schema-directed pass. A plan maps each label of a type (or each link
+# property of a reference type) to (least length, greatest length, decoder);
+# a decoder turns a list of JSON cells into a stored-value sequence, or
+# returns None at the first cell it does not accept.
+
+def _scalar_decoder(cls: type, make, lo: int | None = None, hi: int | None = None):
+    """The decoder of a scalar label: each cell of class cls exactly (a JSON
+    true is an int instance, not an int) and, if bounded, within [lo, hi]."""
+    def decode(cells: list) -> list | None:
+        for c in cells:
+            if type(c) is not cls or lo is not None and not lo <= c <= hi:
+                return None
+        return [make(c) for c in cells]
+
+    return decode
+
+
+_SCALAR_DECODERS = {
+    ScalarType.INT: _scalar_decoder(int, IntVal, INT64_MIN, INT64_MAX),
+    ScalarType.STR: _scalar_decoder(str, StrVal),
+    ScalarType.BOOL: _scalar_decoder(bool, BoolVal),
+}
+
+
+def _label_plan(ty: StoredType, card: Cardinality, refs: dict[str, list[str]]):
+    if type(ty) is ScalarType:
+        decode = _SCALAR_DECODERS[ty]
+    else:
+        decode = _ref_decoder(ty, refs)
+    return card.lo, card.hi, decode
+
+
+def _ref_decoder(ty: StoredRefType, refs: dict[str, list[str]]):
+    """The decoder of a reference label: each cell `{"ref": id}`, with a
+    `"props"` object when the type declares link properties. Each id goes
+    to refs under the target type, to be resolved once every tuple is in."""
+    ids = refs.setdefault(ty.target, [])
+    props = {plbl: _label_plan(pty, pcard, refs) for plbl, (pty, pcard) in ty.link_props}
+    keys = 2 if props else 1
+
+    def decode(cells: list) -> list | None:
+        seq = []
+        for c in cells:
+            if type(c) is not dict or len(c) != keys:
+                return None
+            id = c.get("ref")
+            link = _decode_record(c.get("props"), props) if props else {}
+            if type(id) is not str or link is None:
+                return None
+            ids.append(id)
+            seq.append(StoredRef(id, link))
+        return seq
+
+    return decode
+
+
+def _decode_record(src, plan: dict) -> dict | None:
+    """The labels of a JSON object decoded by their plans, in the object's
+    order; None unless it holds exactly the planned labels, each a list of
+    admitted length whose cells decode."""
+    if type(src) is not dict or len(src) != len(plan):
+        return None
+    out = {}
+    for lbl, cells in src.items():
+        lp = plan.get(lbl)
+        if lp is None or type(cells) is not list:
+            return None
+        lo, hi, decode = lp
+        if not lo <= len(cells) <= hi:
+            return None
+        seq = decode(cells)
+        if seq is None:
+            return None
+        out[lbl] = seq
+    return out
+
+
+def _refs_resolve(tuples: dict[str, StoreTuple], refs: dict[str, list[str]]) -> bool:
+    """Every id noted under a target type names a tuple of that type."""
+    for target, ids in refs.items():
+        for id in ids:
+            tup = tuples.get(id)
+            if tup is None or tup.type_name != target:
+                return False
+    return True
+
+
+def _load_checked(schema: Schema, entities: list) -> tuple[Store, int] | None:
+    """The store of a well-formed entity list, decoded and checked against
+    the schema in one pass, with its largest numeric id; None at the first
+    thing the pass does not recognise, for the generic decode to report."""
+    refs: dict[str, list[str]] = {}  # target type -> the ids referring to it
+    plans = {tname: {lbl: _label_plan(ty, card, refs) for lbl, (ty, card) in decl.labels.items()}
+             for tname, decl in schema.types.items()}
+    tuples: dict[str, StoreTuple] = {}
+    max_id = 0
+    for ent in entities:
+        if type(ent) is not dict or len(ent) != 3:
+            return None
+        id, tname = ent.get("id"), ent.get("type")
+        if type(id) is not str or type(tname) is not str or id in tuples or tname not in plans:
+            return None
+        record = _decode_record(ent.get("fields"), plans[tname])
+        if record is None:
+            return None
+        tuples[id] = StoreTuple(tname, record)
+        try:  # the rule of Store.max_numeric_id
+            n = int(id)
+        except ValueError:
+            continue
+        if n > max_id:
+            max_id = n
+    if not _refs_resolve(tuples, refs):
+        return None
+    return Store(tuples), max_id
 
 
 # The snapshot layout nests to fixed depths, so the line break before an

@@ -187,13 +187,17 @@ def test_a_large_result_to_a_closed_stdout_is_one_error(tmp_path, monkeypatch, q
     assert path.read_bytes() == before
 
 
-def test_a_run_started_without_fd_1_exits_quietly(store_file):
-    # Python sets sys.stdout to None, and print writes nothing
+def test_a_run_started_without_fd_1_exits_2_and_commits_nothing(store_file):
+    # Python sets sys.stdout to None, and print would write nothing
+    before = store_file.read_bytes()
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
-    proc = subprocess.run([sys.executable, "-m", "grql", "run", str(store_file), "count(Person)"],
+    proc = subprocess.run([sys.executable, "-m", "grql", "run", str(store_file),
+                           'insert Person { name := "Zed", age := 3, born := <str>{} }', "--commit"],
                           preexec_fn=lambda: os.close(1), stderr=subprocess.PIPE, text=True,
                           env=env)
-    assert (proc.returncode, proc.stderr) == (0, "")
+    assert (proc.returncode, proc.stderr) == (
+        2, "error: cannot write to stdout: file descriptor 1 is closed\n")
+    assert store_file.read_bytes() == before
 
 
 def test_run_insert_output_is_id_object(store_file, capsys):
