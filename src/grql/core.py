@@ -1,11 +1,11 @@
 """Core (desugared) expression syntax.
 
 This is the constructor set the checker and evaluator operate on; no derived
-forms of the surface syntax remain. One node, Lookup, is a derived form of
-the core itself that only `simplify` creates. An Empty node carries either an
-explicit type annotation or the name of an in-scope variable whose element
-type it adopts (the deferred form produced when lowering filters and optional
-iteration, where the annotation is not syntactically available).
+forms of the surface syntax remain. Two nodes, Lookup and Size, are derived
+forms of the core itself that only `simplify` creates. An Empty node carries
+either an explicit type annotation or the name of an in-scope variable whose
+element type it adopts (the deferred form produced when lowering filters and
+optional iteration, where the annotation is not syntactically available).
 """
 
 from __future__ import annotations
@@ -80,6 +80,16 @@ class Lookup(Expr):
 
 
 @dataclass
+class Size(Expr):
+    """The number of values of `source`; by definition `count!(source)`,
+    with `source` a stored chain: a type name, or a `Lookup` over one,
+    followed by projections of stored object labels, every one but the last
+    a link. It reads ids only and builds no value."""
+
+    source: Expr
+
+
+@dataclass
 class Shaping(Expr):
     subject: Expr
     binder: str
@@ -147,7 +157,7 @@ def walk(e: Expr):
         case Union(left=a, right=b):
             yield from walk(a)
             yield from walk(b)
-        case Proj(subject=a) | Backlink(subject=a):
+        case Proj(subject=a) | Backlink(subject=a) | Size(source=a):
             yield from walk(a)
         case Shaping(subject=a, shape=shape):
             yield from walk(a)
@@ -208,6 +218,8 @@ def to_text(e: Expr) -> str:
             return f"{to_text(a)}.<{lbl}[is {n}]"
         case Lookup(source=a, label=lbl, key=k):
             return f"lookup!({to_text(a)}.{lbl}, {to_text(k)})"
+        case Size(source=a):
+            return f"count!({to_text(a)})"
         case Shaping(subject=a, binder=x, shape=shape):
             inner = ", ".join(f"{lbl} := {to_text(v)}" for lbl, v in shape)
             return f"{to_text(a)} {{{x}| {inner} }}"
@@ -232,6 +244,6 @@ def to_text(e: Expr) -> str:
 
 __all__ = [
     "Expr", "Var", "Prim", "Empty", "Union", "Name", "Proj", "Backlink",
-    "Lookup", "Shaping", "Call", "If", "With", "For", "OrderBy", "Insert", "Update",
+    "Lookup", "Size", "Shaping", "Call", "If", "With", "For", "OrderBy", "Insert", "Update",
     "walk", "binders", "to_text",
 ]

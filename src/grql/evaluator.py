@@ -13,6 +13,9 @@ the store builds lazily, at most once per store object: the per-type extents
 (`Store.extent`, read by type names), the reverse-link index
 (`Store.backlinks`, read by `seek`) and the value index (`Store.lookup`, read
 by the `Lookup` nodes over a type name that `simplify` makes of filters).
+A `Size` node, which `simplify` makes of a count of a stored chain, reads the
+same extents and value index and then the initial store's stored sequences,
+one step at a time, as ids: it builds no value.
 Writes make new store objects and never touch the initial one, so the caches
 need no updating during a query. When the query's store is committed,
 `Store.unlock_all` hands it copies of the initial store's caches, patched
@@ -22,6 +25,7 @@ for the written tuples.
 from __future__ import annotations
 
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from . import core
@@ -30,6 +34,7 @@ from .model import (
     BoolVal,
     ComputedValue,
     EntityId,
+    IntVal,
     Label,
     ObjVal,
     ScalarValue,
@@ -283,18 +288,21 @@ class Evaluator:
             out.extend(seek(self.init, e.type_name, e.label, w.id))
         return self.permute(self._dedup(out)), store
 
+    def _probe(self, type_name: TypeName, label: Label, keys: ValueSeq) -> Sequence[EntityId]:
+        """The ids of `type_name` whose scalar `label` holds a value of `keys`,
+        read from the value index: one key's entry, or the ids that hold any
+        of several keys, each once and in extent order as the scan gives them."""
+        index = self.init.lookup(type_name, label)
+        if len(keys) == 1:
+            return index.get(keys[0], ())
+        hits = set().union(*(index.get(k, ()) for k in keys))
+        return [id for id in self.init.extent(type_name) if id in hits] if hits else []
+
     def _lookup(self, env: Environment, store: Store, e: core.Lookup):
         source = e.source
         if isinstance(source, core.Name):
             keys, store = self.run(env, store, e.key)
-            index = self.init.lookup(source.type_name, e.label)
-            if len(keys) == 1:
-                ids = index.get(keys[0], ())
-            else:
-                # the ids that hold any key, in extent order as the scan gives them
-                hits = set().union(*(index.get(k, ()) for k in keys))
-                ids = ([id for id in self.init.extent(source.type_name) if id in hits]
-                       if hits else [])
+            ids = self._probe(source.type_name, e.label, keys)
             return self.permute([ObjVal(id, {}) for id in ids]), store
         # a hash semi-join: each element that shares a value with the key,
         # in source order and with the source's duplicates, as the scan keeps
@@ -304,6 +312,41 @@ class Evaluator:
         init, label = self.init, e.label
         out = [w for w in ws if not wanted.isdisjoint(project(init, label, w))]
         return self.permute(out), store
+
+    def _size(self, env: Environment, store: Store, e: core.Size):
+        # the chain's base, and its labels first step first
+        base, labels = e.source, []
+        while isinstance(base, core.Proj):
+            labels.append(base.label)
+            base = base.subject
+        labels.reverse()
+        if isinstance(base, core.Name):
+            ids = self.init.extent(base.type_name)
+        else:  # a Lookup over a type name
+            keys, store = self.run(env, store, base.key)
+            ids = self._probe(base.source.type_name, base.label, keys)
+        dedup = self.config.dedup_projections
+        for i, label in enumerate(labels):
+            cells = self._cells(ids, label)
+            if i == len(labels) - 1 and not (
+                    dedup and next((isinstance(seq[0], StoredRef) for seq in cells if seq), False)):
+                # every value counts, duplicates too, unless --dedup drops a link's
+                return [IntVal(sum(map(len, cells)))], store
+            ids = [ref.id for seq in cells for ref in seq]
+            if dedup:
+                # each target once, as `_dedup` keeps it
+                ids = list(dict.fromkeys(ids))
+        return [IntVal(len(ids))], store
+
+    def _cells(self, ids: Sequence[EntityId], label: Label) -> list[StoredValueSeq]:
+        """The stored sequence of `label` on each id, as `project` reads it
+        from the initial store."""
+        tuples = self.init.tuples
+        try:
+            return [tuples[id].record[label] for id in ids]
+        except KeyError:
+            id = next(id for id in ids if id not in tuples or label not in tuples[id].record)
+            raise EvalFault("MissingLabel", f"no stored value for {label} on id {id}") from None
 
     def _shaping(self, env: Environment, store: Store, e: core.Shaping):
         ws, store = self.run(env, store, e.subject)
@@ -407,6 +450,7 @@ _DISPATCH = {
     core.Proj: Evaluator._proj,
     core.Backlink: Evaluator._backlink,
     core.Lookup: Evaluator._lookup,
+    core.Size: Evaluator._size,
     core.Shaping: Evaluator._shaping,
     core.Call: Evaluator._call,
     core.If: Evaluator._if,

@@ -5,8 +5,8 @@ The desugarer runs before type checking, so it binds every built-in argument,
 `if` condition and `update` subject with a `for`, and every many-valued
 argument with a `with`, in case the value is not a singleton; and it lowers
 `S filter .l = k` to a scan of S that compares each element's values of `l`
-with each value of `k`. Four rewrites undo what the types show is not
-needed:
+with each value of `k`; and the evaluator builds every value that `count!`
+only counts. Five rewrites undo what the types show is not needed:
 
 1. A singleton binder becomes a substitution: `for x in s union b` is
    `b[x := s]` when `synth` gives `s` the cardinality [1, 1], `s` is pure and
@@ -31,24 +31,32 @@ needed:
    rules could rewrite, rule 3 wins.
 4. `any!(f!(...))` is `f!(...)` when the row of `f` in `builtins.REGISTRY`
    returns a [1, 1] bool.
+5. A count of a stored chain reads ids only: `count!(s)` is `Size(s)` when
+   `s` is a type name, or a lookup over one, followed by zero or more
+   projections of stored object labels (no link properties), every one but
+   the last a link of the type it projects from. The evaluator counts the
+   ids the chain reaches through the stored sequences and builds no value.
 
 A term is pure when it holds no `insert` or `update`, and total when it calls
 no built-in whose row in `builtins.REGISTRY` says it can fail. Such a term
 reads only the initial store and cannot fault, so evaluating it later (rule
 1), never (rule 1, `x` unused) or earlier (rules 2 and 3) gives the same
-values; the canonical evaluation order of everything else is unchanged. An
+values; the canonical evaluation order of everything else is unchanged.
+Rule 5 changes no count; under a seed it skips the chain's permutations, so
+later draws differ and other results stay equal up to permutation. An
 iterating body is the body of a `for` whose source may hold more than one
 value and, whatever their subject, an `order by` key and the entries of a
 shape or an `update`.
 
 The pass is linear in the size of the term: `synth` records the type and
 cardinality of each `for` source and `with` bound, one walk (`scan`) counts
-each binder's uses and decides every rewrite but rule 4, and one walk
-(`rebuild`) applies them. Rule 3 reads the condition as the desugarer wrote
-it, so it does not depend on what rules 1 and 4 make of it; it uses the use
-counts to see that `k` mentions neither binder. The pass relies on binders
-being distinct, as the desugarer makes them; a term that reuses a binder
-name is returned unchanged.
+each binder's uses and decides every rewrite but rules 4 and 5, and one
+walk (`rebuild`) applies them; rules 4 and 5 read the rebuilt arguments.
+Rule 3 reads the condition as the desugarer wrote it, so it does not depend
+on what rules 1 and 4 make of it; it uses the use counts to see that `k`
+mentions neither binder. The pass relies on binders being distinct, as the
+desugarer makes them; a term that reuses a binder name is returned
+unchanged.
 """
 
 from __future__ import annotations
@@ -57,7 +65,9 @@ from collections import Counter
 
 from . import core
 from .builtins import REGISTRY
-from .model import INF, Cardinality, ComputedType, ONE, ScalarType, Schema
+from .model import (
+    INF, Cardinality, ComputedType, ONE, ScalarType, Schema, StoredRefType, is_link_prop,
+)
 from .typecheck import label_entry, synth
 
 # Most subterms one query binds at its top. Each is one more nested `with`
@@ -129,7 +139,7 @@ class _Simplifier:
                 lo_a, ok_a = self.scan(a, depth, level)
                 lo_b, ok_b = self.scan(b, depth, level)
                 lo, ok = min(lo_a, lo_b), ok_a and ok_b
-            case core.Proj(subject=a) | core.Backlink(subject=a):
+            case core.Proj(subject=a) | core.Backlink(subject=a) | core.Size(source=a):
                 lo, ok = self.scan(a, depth, level)
             case core.Call(fn=fn, args=args):
                 lo, ok = INF, REGISTRY[fn].total
@@ -270,6 +280,8 @@ class _Simplifier:
                 args = [go(a, iterating) for a in args]
                 if fn == "any" and isinstance(args[0], core.Call) and args[0].fn in _ONE_BOOL:
                     return args[0]
+                if fn == "count":
+                    return self.count(args[0], span)
                 return core.Call(fn, args, span=span)
             case core.If(cond=c, then_branch=t, else_branch=f):
                 return core.If(go(c, iterating), go(t, iterating), go(f, iterating), span=span)
@@ -301,12 +313,21 @@ class _Simplifier:
             case core.Lookup(source=a, label=lbl, key=k):
                 return core.Lookup(self.lookup_source(a, iterating), lbl, go(k, iterating),
                                    span=span)
+            case core.Size(source=a):
+                return self.count(go(a, iterating), span)
         raise TypeError(f"unknown core node {e!r}")
 
     def lookup_source(self, a: core.Expr, iterating: bool) -> core.Expr:
         """A lookup's source, rebuilt: a type name stays as it is, so that the
         lookup probes the value index."""
         return a if isinstance(a, core.Name) else self.rebuild(a, iterating)
+
+    def count(self, source: core.Expr, span) -> core.Expr:
+        """Rule 5: `count!(source)`, rebuilt, as a Size node when `source` is
+        a stored chain."""
+        if _stored_chain(self.schema, source):
+            return core.Size(source, span=span)
+        return core.Call("count", [source], span=span)
 
 
 def _membership(c: core.Expr, x: str) -> tuple[str, core.Expr, str | None] | None:
@@ -331,6 +352,28 @@ def _membership(c: core.Expr, x: str) -> tuple[str, core.Expr, str | None] | Non
     return None
 
 
+def _stored_chain(schema: Schema, e: core.Expr) -> bool:
+    """Whether `e` is a chain rule 5 counts: a declared type name or a lookup
+    over one, then projections of stored object labels, each but the last a
+    link of the type it projects from."""
+    labels = []
+    while isinstance(e, core.Proj):
+        labels.append(e.label)
+        e = e.subject
+    if isinstance(e, core.Lookup):
+        e = e.source
+    decl = schema.decl(e.type_name) if isinstance(e, core.Name) else None
+    if decl is None:
+        return False
+    for label in reversed(labels):
+        if decl is None or is_link_prop(label) or label not in decl.labels:
+            return False
+        sty, _ = decl.labels[label]
+        # past a scalar label there is no declaration: it must be the last
+        decl = schema.decl(sty.target) if isinstance(sty, StoredRefType) else None
+    return True
+
+
 def _outside(lo: float, depth: int) -> float:
     """The least depth of a free binder of a binder's scope, leaving out the
     binder itself (at `depth`; the scope's other free binders are shallower)."""
@@ -338,7 +381,7 @@ def _outside(lo: float, depth: int) -> float:
 
 
 def simplify(schema: Schema, e: core.Expr) -> core.Expr:
-    """`e`, well typed in the empty context, rewritten by the four rules in
+    """`e`, well typed in the empty context, rewritten by the five rules in
     the module docstring. The result has the same type and cardinality, and
     evaluates to the same canonical result, store and next id. Raises
     TypeCheckError when `e` is not well typed."""

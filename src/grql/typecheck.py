@@ -284,6 +284,10 @@ def synth(schema: Schema, ctx: Context, e: core.Expr,
                 )
             return ts, card_mul(ms, AT_MOST_ONE)
 
+        case core.Size(source=src):
+            synth(schema, ctx, src, sources)
+            return ScalarType.INT, ONE
+
     raise TypeError(f"unknown core node {e!r}")
 
 

@@ -1,11 +1,12 @@
 """`simplify` keeps a query's meaning and makes the evaluator do less.
 
 Over generated instances, the simplified term types at the same type and
-cardinality, gives the same canonical result, store and next id, and under
-the harness's evaluation seeds the same results and inserted tuples up to
-permutation; a deliberately broken `simplify` fails the same check. Each rule
-and each refusal is pinned on a query, and deterministic work counters (nodes
-evaluated, visits made by the pass) gate what the rules save."""
+cardinality, gives the same canonical result, store and next id, with and
+without --dedup, and under the harness's evaluation seeds the same results
+and inserted tuples up to permutation; a deliberately broken `simplify` fails
+the same check. Each rule and each refusal is pinned on a query, and
+deterministic work counters (nodes evaluated, visits made by the pass) gate
+what the rules save."""
 
 import importlib
 from collections import Counter
@@ -41,12 +42,12 @@ def store_file(tmp_path):
     return path
 
 
-def _canonical(schema, store, e):
+def _canonical(schema, store, e, dedup=False):
     """All a canonical run shows: the result (in order, with each record's
     entry order), the final tuples in order, the edit marks and the next id;
     or the fault's code."""
     try:
-        out = evaluate(schema, EvalConfig(), {}, store, e)
+        out = evaluate(schema, EvalConfig(dedup_projections=dedup), {}, store, e)
     except EvalFault as exc:
         return exc.code
     after = out.store_after
@@ -75,6 +76,9 @@ def equivalence_failure(inst: Instance) -> str | None:
         return f"simplified to {typed[0]} # {typed[1]}, not {inst.ty} # {inst.card}"
     if _canonical(inst.schema, inst.store, e) != _canonical(inst.schema, inst.store, inst.expr):
         return "the canonical evaluations differ"
+    if (_canonical(inst.schema, inst.store, e, dedup=True)
+            != _canonical(inst.schema, inst.store, inst.expr, dedup=True)):
+        return "the canonical --dedup evaluations differ"
     for seed in _derive_eval_seeds(0, inst.config.seed):
         if _seeded(inst.schema, inst.store, e, seed) != _seeded(inst.schema, inst.store,
                                                                inst.expr, seed):
